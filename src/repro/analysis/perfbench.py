@@ -29,11 +29,11 @@ a first-class artifact.  This module measures four rates:
   machinery stays effectively free on the no-fault hot path.
   All overhead metrics report the median of interleaved sample pairs —
   see :func:`_installed_hook_overhead_pct` for the noise discipline.
-* ``crashcheck_scratch_wall_sec`` / ``crashcheck_ckpt_wall_sec`` /
-  ``crash_replay_speedup`` — wall-clock of one exhaustive crashcheck cell
-  with every point replayed from scratch vs resumed from fork checkpoints
-  (:mod:`repro.snapshot`), and their ratio: the O(points × run) →
-  O(run + points × delta) lever of :mod:`repro.crashlab`.
+* ``crashcheck_replay_wall_sec`` / ``crashcheck_inline_wall_sec`` /
+  ``crash_inline_speedup`` — wall-clock of one exhaustive crashcheck cell
+  with every point replayed from scratch vs judged inline in one run
+  (:func:`repro.crashlab.explore`), and their ratio: the O(points × run)
+  → O(run) lever of :mod:`repro.crashlab`.
 
 ``python -m repro.analysis.perfbench`` appends one record to
 ``BENCH_engine.json`` so the perf trajectory is recorded PR over PR; see
@@ -260,22 +260,19 @@ def sweep_warm_start_metrics(
     }
 
 
-def crash_replay_metrics(*, quick: bool = False) -> dict[str, float]:
-    """Wall-clock of an exhaustive crashcheck cell, from scratch vs resumed.
+def crash_inline_metrics(*, quick: bool = False) -> dict[str, float]:
+    """Wall-clock of an exhaustive crashcheck cell, replayed vs judged inline.
 
-    The cell is the acceptance cell of the checkpoint subsystem: sync-loop
-    on EXT4-DR × in-order-recovery, every recorded boundary explored.  From
-    scratch every verdict replays the whole prefix — O(points × run) — so
-    the cell's wall-clock grows quadratically with run length; with
-    fork checkpoints every verdict costs only the delta from the nearest
-    checkpoint — O(run + points × delta).  ``crash_replay_speedup`` is the
-    scratch wall over the checkpointed wall for the *same bit-identical
-    report* (pinned by ``tests/crashlab/test_checkpoints.py``); platforms
-    without fork/fd-passing report 0.0 rather than a fake ratio.
+    The cell is sync-loop on EXT4-DR × in-order-recovery, every recorded
+    boundary explored.  The replay side rebuilds the report the way
+    :func:`repro.crashlab.check_point` judges one point — a from-scratch
+    run per boundary, O(points × run); :func:`repro.crashlab.explore`
+    judges every boundary inside one run.  ``crash_inline_speedup`` is the
+    replay wall over the inline wall; the two reports must be equal, or the
+    benchmark fails instead of recording a ratio of different work.
     """
-    from repro.crashlab import DEFAULT_CHECKPOINT_EVERY, explore
+    from repro.crashlab import CellReport, check_point, explore, record_boundaries
     from repro.scenarios.spec import ScenarioSpec
-    from repro.snapshot import checkpoint_supported
 
     spec = ScenarioSpec(
         workload="sync-loop",
@@ -285,23 +282,28 @@ def crash_replay_metrics(*, quick: bool = False) -> dict[str, float]:
         params={"calls": 60 if quick else 160},
     )
 
-    def wall(checkpoint_every):
-        start = time.perf_counter()
-        explore(spec, strategy="exhaustive", checkpoint_every=checkpoint_every)
-        return time.perf_counter() - start
-
-    scratch = wall(None)
-    if not checkpoint_supported():
-        return {
-            "crashcheck_scratch_wall_sec": round(scratch, 4),
-            "crashcheck_ckpt_wall_sec": round(scratch, 4),
-            "crash_replay_speedup": 0.0,
-        }
-    resumed = wall(DEFAULT_CHECKPOINT_EVERY)
+    start = time.perf_counter()
+    total = len(record_boundaries(spec))
+    replayed = CellReport(
+        spec=spec,
+        strategy="exhaustive",
+        seed=0,
+        boundaries_total=total,
+        points=[check_point(spec, index) for index in range(total)],
+    )
+    replay = time.perf_counter() - start
+    start = time.perf_counter()
+    inline_report = explore(spec, strategy="exhaustive")
+    inline = time.perf_counter() - start
+    if inline_report != replayed:
+        raise AssertionError(
+            "inline crash judging disagrees with from-scratch replay on "
+            f"{spec.describe()}"
+        )
     return {
-        "crashcheck_scratch_wall_sec": round(scratch, 4),
-        "crashcheck_ckpt_wall_sec": round(resumed, 4),
-        "crash_replay_speedup": round(scratch / resumed, 2) if resumed > 0 else 0.0,
+        "crashcheck_replay_wall_sec": round(replay, 4),
+        "crashcheck_inline_wall_sec": round(inline, 4),
+        "crash_inline_speedup": round(replay / inline, 2) if inline > 0 else 0.0,
     }
 
 
@@ -350,10 +352,10 @@ def collect_metrics(*, repeats: int = 3, quick: bool = False) -> dict[str, float
         ),
     }
     metrics.update(sweep_warm_start_metrics(repeats=repeats, quick=quick))
-    # One timed pass each: the scratch side alone dwarfs every other
-    # benchmark here, and the ratio of two ~20 s walls is stable enough
-    # for a floor gate without repeats.
-    metrics.update(crash_replay_metrics(quick=quick))
+    # One timed pass each: the replay side alone dwarfs every other
+    # benchmark here, and a ratio this far above its floor does not need
+    # repeats to clear the gate.
+    metrics.update(crash_inline_metrics(quick=quick))
     return metrics
 
 

@@ -1,79 +1,58 @@
-"""The crash-exploration engine: record, checkpoint, replay, verify, merge.
+"""The crash-exploration engine: record, select, judge inline.
 
 One *cell* is a :class:`~repro.scenarios.ScenarioSpec`; exploring it means:
 
 1. **Record** — run the spec once with an observing tap and collect every
-   IO boundary (:func:`repro.crashlab.points.record_boundaries`).  On
-   fork-capable platforms the same run doubles as a **checkpoint factory**
-   (:func:`record_checkpointed`): at boundaries scheduled by a
-   :class:`~repro.snapshot.CheckpointPolicy` the whole process is frozen
-   as a live copy-on-write child, keyed by boundary index.
+   IO boundary (:func:`repro.crashlab.points.record_boundaries`).
 2. **Select** — turn the boundary list into crash points (exhaustive /
    stratified budgets, or adaptive bisection).
-3. **Replay & verify** — for each point, resume the simulation from the
-   nearest preceding checkpoint (or rebuild from scratch when none
-   exists), run until the device hits that boundary, cut power,
-   reconstruct the durable state with
-   :func:`repro.storage.crash.recover_durable_blocks` and run every
+3. **Judge** — run the spec once more with a judging tap
+   (:func:`judge_points`).  At each selected boundary the tap reconstructs
+   what a power cut would leave with
+   :func:`repro.storage.crash.recover_durable_blocks`, runs every
    applicable oracle from the registry
-   (:data:`repro.core.verification.ORACLES`).
+   (:data:`repro.core.verification.ORACLES`) — or the caller's judge — and
+   lets the run go on.  Nothing is powered off, raised or forked.
 
-Checkpoints turn exhaustive exploration from O(points × run_length) into
-O(run + points × delta): each verdict costs only the stretch from its
-checkpoint to its cut, plus recovery and verification.  Because a
-checkpoint child *is* the recording run paused at boundary *k* — same
-heap, same generator frames, same RNG streams — a resumed replay is
-bit-identical to a from-scratch replay crashing at the same boundary;
-``tests/crashlab/test_checkpoints.py`` pins verdicts, witnesses and trace
-tails across both paths, serial and sharded, with and without fault plans.
+The inline verdict equals the one a from-scratch replay crashing at the
+same boundary produces (:func:`check_point`, the reference path): the tap
+fires before the device executes the boundary's next statement, so the
+judge sees exactly the state the replay's crash captures, and recovery and
+the oracles only read that state, so the run continues as if unobserved.
+The trace tail is read with :meth:`repro.trace.Tracer.trace_tail_at_cut`,
+which renders the spans a replay's ``finalize()`` would add for requests
+left in flight.  ``tests/crashlab/test_inline_judging.py`` pins the
+equality over drawn workloads, barrier modes, fault plans and judges.
 
-Sharding: every replay is an independent, seeded unit of work.  Without a
-checkpoint store, points fan out over worker processes with
-``ProcessPoolExecutor.map`` (order-preserving) exactly like
-``repro.scenarios.run_specs(jobs=N)``.  With a store, the forked delta
-replays already run as their own processes, so ``jobs=N`` becomes a thread
-pool in the exploring process that keeps up to N grandchildren in flight —
-the merged report is bit-identical for any ``jobs`` value either way.
+Sharding: one cell is one run, so :func:`explore_cells` distributes whole
+cells over worker processes with ``ProcessPoolExecutor.map``
+(order-preserving); the reports are identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import warnings
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from repro.core.verification import CrashProbe, VerificationError, applicable_oracles
 from repro.crashlab import oracles as _workload_oracles  # noqa: F401 - registers oracles
 from repro.crashlab.points import (
-    CheckpointingRecorder,
     CrashPointReached,
     CrashTrigger,
+    boundary_at,
     evenly_spaced,
     record_boundaries,
-    require_stack_workload,
     select_points,
 )
 from repro.crashlab.report import CellReport, OracleVerdict, PointVerdict
-from repro.snapshot import (
-    CheckpointPolicy,
-    CheckpointStore,
-    SnapshotForkError,
-    checkpoint_supported,
-)
 from repro.storage.crash import CrashBoundary, recover_durable_blocks
-
-#: Default boundary spacing between checkpoints (``--checkpoint-every``).
-DEFAULT_CHECKPOINT_EVERY = 32
-#: Default cap on live checkpoint children (LRU-evicted beyond this).
-DEFAULT_CHECKPOINT_BUDGET = 64
 
 
 def _make_tracer(trace_tail: int):
     """The tracer a ``trace_tail=N`` exploration installs, or ``None``.
 
-    One construction site for both the scratch and the checkpointed path:
-    trace-tail bit-identity between them needs the identical buffer size.
+    One construction site for the inline and the replay path: trace-tail
+    equality between them needs the identical buffer size.
     """
     if trace_tail <= 0:
         return None
@@ -91,9 +70,8 @@ def _point_verdict(
 ) -> PointVerdict:
     """Run every applicable oracle against a recovered probe.
 
-    Shared by the from-scratch path and the checkpoint grandchildren, so a
-    verdict's content depends only on the recovered state — never on which
-    replay mechanism produced it.
+    Shared by the inline and the replay path, so a verdict's content
+    depends only on the recovered state — never on which path produced it.
     """
     verdicts = []
     for oracle in applicable_oracles(probe):
@@ -115,7 +93,9 @@ def _point_verdict(
         kind=boundary.kind if boundary is not None else "end-of-run",
         time=boundary.time if boundary is not None else probe.state.crash_time,
         verdicts=tuple(verdicts),
-        trace_tail=tuple(tracer.trace_tail(trace_tail)) if tracer is not None else (),
+        trace_tail=(
+            tuple(tracer.trace_tail_at_cut(trace_tail)) if tracer is not None else ()
+        ),
     )
 
 
@@ -155,17 +135,15 @@ def replay_to_point(
 def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVerdict:
     """Replay one crash point from scratch and run every applicable oracle.
 
-    Module-level and picklable-by-reference: this is the unit of work the
-    process pool distributes, and the fallback when no checkpoint precedes
-    a point.  ``trace_tail=N`` replays the point with the cross-layer
-    tracer installed and attaches the last ``N`` spans before the crash to
-    the verdict — the timeline a violation report shows.
+    The reference path :func:`explore`'s inline judging is tested against,
+    and the only way to judge a point past the end of the run (an
+    ``end-of-run`` verdict).  ``trace_tail=N`` replays the point with the
+    cross-layer tracer installed and attaches the last ``N`` spans before
+    the crash to the verdict — the timeline a violation report shows.
 
     ``judge`` replaces the default verdict builder (:func:`_point_verdict`)
     with a callable of the same signature — ``runner recoverycheck``
-    passes :func:`repro.recovery.recovery_judge` here.  A judge must be
-    module-level (or a ``functools.partial`` over picklable values) so the
-    process pool can ship it.
+    passes :func:`repro.recovery.recovery_judge` here.
     """
     tracer = _make_tracer(trace_tail)
     probe, boundary = replay_to_point(spec, index, tracer=tracer)
@@ -173,223 +151,70 @@ def check_point(spec, index: int, *, trace_tail: int = 0, judge=None) -> PointVe
     return verdict(probe, boundary, index, tracer, trace_tail)
 
 
-def _deliver_replay(spec, workload, tap, boundary, tracer, judge=None):
-    """Finish a checkpoint grandchild's replay: recover, verify, report.
+def judge_points(
+    spec, indices: Sequence[int], *, trace_tail: int = 0, judge=None
+) -> list[PointVerdict]:
+    """Run ``spec`` once, judging the crash state at each of ``indices``.
 
-    Runs only in a replay grandchild (``tap.grant`` set).  Never returns:
-    the verdict — or the failure — travels up the result pipe and the
-    process exits, so a grandchild can never fall back into the recording
-    control flow it inherited.
-    """
-    request, result_fd = tap.grant
-    status = 1
-    try:
-        stack = workload.stack
-        stack.device.crash_tap = None
-        if tracer is not None:
-            tracer.finalize()
-        stack.device.power_off()
-        state = recover_durable_blocks(stack.device)
-        probe = CrashProbe.from_stack(state, stack, spec=spec, workload=workload)
-        build_verdict = judge if judge is not None else _point_verdict
-        verdict = build_verdict(
-            probe, boundary, request["target"], tracer, request["trace_tail"]
-        )
-        payload = pickle.dumps(("ok", verdict), protocol=pickle.HIGHEST_PROTOCOL)
-        status = 0
-    except BaseException as exc:  # noqa: BLE001 - relayed to the explorer
-        payload = pickle.dumps(("err", f"{type(exc).__name__}: {exc}"))
-    try:
-        with os.fdopen(result_fd, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(status)
-
-
-def record_checkpointed(
-    spec, policy: CheckpointPolicy, *, trace_tail: int = 0, judge=None
-) -> tuple[list[CrashBoundary], CheckpointStore]:
-    """Record ``spec``'s boundaries while freezing periodic checkpoints.
-
-    The single recording run plays the role ``record_boundaries`` plays on
-    the scratch path *and* leaves behind a :class:`CheckpointStore` of live
-    children to resume replays from.  With ``trace_tail=N`` the tracer is
-    installed over the recording run itself — every checkpoint child then
-    carries the tracer state a from-scratch traced replay would have at
-    that boundary, which is what makes resumed trace tails bit-identical.
-
-    Every replay grandchild re-enters this function's frames: it unwinds
-    out of ``workload.run()`` via :class:`CrashPointReached` (or falls
-    through, for a target beyond the end of the run) and exits through
-    :func:`_deliver_replay`.
+    Every index must name a boundary of the run (as recorded by
+    :func:`~repro.crashlab.points.record_boundaries`), or ``ValueError``
+    is raised; the verdicts come back in boundary order.
     """
     from repro.scenarios import prepare_spec
 
-    require_stack_workload(spec)
+    wanted = set(indices)
     tracer = _make_tracer(trace_tail)
     workload = prepare_spec(spec, tracer=tracer)
-    store = CheckpointStore(policy)
-    tap = CheckpointingRecorder(workload.stack.device, store)
-    workload.stack.device.crash_tap = tap
+    stack = workload.stack
+    device = stack.device
+    build_verdict = judge if judge is not None else _point_verdict
+    verdicts: list[PointVerdict] = []
+    count = 0
+
+    def judging_tap(kind: str, pages: int) -> None:
+        nonlocal count
+        index = count
+        count += 1
+        if index in wanted:
+            boundary = boundary_at(device, index, kind, pages)
+            state = recover_durable_blocks(device)
+            probe = CrashProbe.from_stack(state, stack, spec=spec, workload=workload)
+            verdicts.append(build_verdict(probe, boundary, index, tracer, trace_tail))
+
+    device.crash_tap = judging_tap
     try:
         workload.run()
-    except CrashPointReached as crash:
-        # Only replay grandchildren get here: the tap raises solely in
-        # trigger mode.  Exits the process.  The judge travels into the
-        # grandchild by fork inheritance of this frame — no pickling.
-        _deliver_replay(spec, workload, tap, crash.boundary, tracer, judge)
-    except BaseException as exc:
-        if tap.grant is not None:
-            # A grandchild's delta replay failed: report the failure up the
-            # result pipe instead of escaping into the recording flow.
-            _, result_fd = tap.grant
-            try:
-                with os.fdopen(result_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(("err", f"{type(exc).__name__}: {exc}")))
-            finally:
-                os._exit(1)
-        store.close()
-        raise
-    if tap.grant is not None:
-        # Grandchild whose target lies beyond the last boundary: the run
-        # completed without crashing — the scratch path's end-of-run case.
-        _deliver_replay(spec, workload, tap, None, tracer, judge)
-    workload.stack.device.crash_tap = None
-    return tap.boundaries, store
-
-
-def _check_point_from_store(
-    store: CheckpointStore, spec, index: int, *, trace_tail: int = 0, judge=None
-) -> PointVerdict:
-    """Evaluate one crash point, resuming from the nearest checkpoint.
-
-    Falls back to :func:`check_point` when no checkpoint precedes the
-    point (possible after LRU eviction) or when a checkpoint child died —
-    the scratch replay is always available and bit-identical.  The judge
-    is not shipped through the request pipe: the grandchildren inherited
-    it when the recording run forked them, so only the fallback paths
-    need it passed explicitly.
-    """
-    checkpoint = store.nearest(index)
-    if checkpoint is None:
-        return check_point(spec, index, trace_tail=trace_tail, judge=judge)
-    request = pickle.dumps(
-        {"target": index, "trace_tail": trace_tail},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    read_fd = checkpoint.request(request)
-    with os.fdopen(read_fd, "rb") as pipe:
-        payload = pipe.read()
-    if not payload:
-        warnings.warn(
-            f"checkpoint at boundary {checkpoint.index} died replaying point "
-            f"{index} of spec {spec.display_label!r}; falling back to a "
-            "from-scratch replay",
-            RuntimeWarning,
+    finally:
+        device.crash_tap = None
+    if len(verdicts) != len(wanted):
+        raise ValueError(
+            f"points {sorted(wanted)[len(verdicts):]} lie past the {count} "
+            f"boundaries spec {spec.display_label!r} exposed"
         )
-        return check_point(spec, index, trace_tail=trace_tail, judge=judge)
-    kind, value = pickle.loads(payload)
-    if kind != "ok":
-        raise SnapshotForkError(
-            f"checkpointed replay of point {index} of spec "
-            f"{spec.display_label!r} (resumed from checkpoint "
-            f"{checkpoint.index}) failed: {value}"
-        )
-    return value
+    return verdicts
 
 
-def _check_points(
-    spec,
-    indices: Sequence[int],
-    *,
-    jobs: int,
-    trace_tail: int = 0,
-    store: Optional[CheckpointStore] = None,
-    judge=None,
-) -> list[PointVerdict]:
-    """Evaluate crash points, fanning out if asked.
-
-    The fan-out preserves input order and each replay is self-contained,
-    so the verdict list is identical for any job count, with or without a
-    checkpoint store.
-    """
-    indices = list(indices)
-    if store is not None:
-        if jobs <= 1 or len(indices) <= 1:
-            return [
-                _check_point_from_store(
-                    store, spec, index, trace_tail=trace_tail, judge=judge
-                )
-                for index in indices
-            ]
-        # The delta replays are processes already (checkpoint
-        # grandchildren); threads here only shuttle requests and results,
-        # keeping up to `jobs` grandchildren in flight.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
-            return list(
-                pool.map(
-                    lambda index: _check_point_from_store(
-                        store, spec, index, trace_tail=trace_tail, judge=judge
-                    ),
-                    indices,
-                )
-            )
-    if jobs <= 1 or len(indices) <= 1:
-        return [
-            check_point(spec, index, trace_tail=trace_tail, judge=judge)
-            for index in indices
-        ]
-
-    from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
-
-    worker = partial(check_point, trace_tail=trace_tail, judge=judge)
-    workers = min(jobs, len(indices))
-    chunksize = max(1, len(indices) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(worker, [spec] * len(indices), indices, chunksize=chunksize)
-        )
-
-
-def _bisect(
-    spec,
-    total: int,
-    *,
-    points: Optional[int] = None,
-    trace_tail: int = 0,
-    store: Optional[CheckpointStore] = None,
-    judge=None,
-) -> list[PointVerdict]:
+def bisect_probes(
+    total: int, fails: Callable[[int], bool], *, points: Optional[int] = None
+) -> list[int]:
     """Narrow to the earliest failing boundary: scout, then binary-refine.
 
-    Crash violations are not monotone over the boundary index — a run
-    typically ends clean once the final drain completes — so a plain binary
-    search has nothing to anchor on.  Instead the engine *scouts* with
-    evenly spaced probes at doubling density (up to the ``points`` budget,
-    default 32) until some probe fails, then binary-searches the gap between
-    that failure and the nearest passing probe below it.  The result is a
-    failing boundary whose immediate predecessor passes — the earliest
-    failure up to local monotonicity.  Probes run serially because each one
-    decides the next; with a checkpoint store every probe — scout wave and
-    refinement alike — resumes from the scout run's checkpoints, so the
-    whole search costs O(probes × delta).
+    Returns the probed indices, sorted.  Crash violations are not monotone
+    over the boundary index — a run typically ends clean once the final
+    drain completes — so a plain binary search has nothing to anchor on.
+    Instead the search *scouts* with evenly spaced probes at doubling
+    density (up to the ``points`` budget, default 32) until some probe
+    fails, then binary-searches the gap between that failure and the
+    nearest passing probe below it.  The result holds a failing boundary
+    whose immediate predecessor passes — the earliest failure up to local
+    monotonicity.  ``fails`` is asked at most once per index.
     """
-    evaluated: dict[int, PointVerdict] = {}
+    evaluated: dict[int, bool] = {}
 
-    def fails(index: int) -> bool:
+    def probe(index: int) -> bool:
         if index not in evaluated:
-            if store is not None:
-                evaluated[index] = _check_point_from_store(
-                    store, spec, index, trace_tail=trace_tail, judge=judge
-                )
-            else:
-                evaluated[index] = check_point(
-                    spec, index, trace_tail=trace_tail, judge=judge
-                )
-        return bool(evaluated[index].violations)
+            evaluated[index] = fails(index)
+        return evaluated[index]
 
     if total == 0:
         return []
@@ -405,7 +230,7 @@ def _bisect(
         found = None
         if limit > 0:
             for index in evenly_spaced(limit, min(density, limit)):
-                if fails(index):
+                if probe(index):
                     found = index
                     break
         if found is not None:
@@ -414,21 +239,19 @@ def _bisect(
         if density >= budget:
             break
         density = min(density * 2, budget)
-    if earliest_failure is None:
-        return [evaluated[index] for index in sorted(evaluated)]
-
-    low = max(
-        (index for index in evaluated if index < earliest_failure and not fails(index)),
-        default=-1,
-    )
-    high = earliest_failure
-    while high - low > 1:
-        mid = (low + high) // 2
-        if fails(mid):
-            high = mid
-        else:
-            low = mid
-    return [evaluated[index] for index in sorted(evaluated)]
+    if earliest_failure is not None:
+        low = max(
+            (index for index in evaluated if index < earliest_failure and not probe(index)),
+            default=-1,
+        )
+        high = earliest_failure
+        while high - low > 1:
+            mid = (low + high) // 2
+            if probe(mid):
+                high = mid
+            else:
+                low = mid
+    return sorted(evaluated)
 
 
 def explore(
@@ -437,24 +260,18 @@ def explore(
     strategy: str = "exhaustive",
     points: Optional[int] = None,
     seed: int = 0,
-    jobs: int = 1,
     trace_tail: int = 0,
-    checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
-    checkpoint_budget: int = DEFAULT_CHECKPOINT_BUDGET,
-    checkpoint_interval: float = 0.0,
     judge=None,
 ) -> CellReport:
     """Explore one scenario cell and return its :class:`CellReport`.
 
-    ``trace_tail=N`` traces every replay and attaches the last ``N`` spans
-    before each crash to its verdict (rendered by the violation report).
+    ``trace_tail=N`` traces the judging run and attaches the last ``N``
+    spans before each crash point to its verdict (rendered by the
+    violation report).
 
-    ``checkpoint_every=K`` freezes a fork checkpoint every K recorded
-    boundaries during the recording run (``checkpoint_interval`` adds a
-    sim-time trigger, ``checkpoint_budget`` caps the live pool) and resumes
-    every replay from the nearest preceding checkpoint; ``None`` — or any
-    platform without fork/fd-passing — replays every point from scratch.
-    The report is bit-identical either way; only the wall-clock changes.
+    ``bisect`` judges every boundary in the one judging run and then runs
+    its search (:func:`bisect_probes`) over those verdicts; the report
+    holds only the probed points.
 
     ``judge`` replaces the per-point verdict builder (see
     :func:`check_point`); ``None`` keeps the registered-oracle default, so
@@ -462,41 +279,18 @@ def explore(
     """
     if points is not None and points < 1:
         raise ValueError(f"the crash-point budget must be at least 1, got {points}")
-    store: Optional[CheckpointStore] = None
-    if checkpoint_every is not None and checkpoint_supported():
-        policy = CheckpointPolicy(
-            every=checkpoint_every,
-            interval=checkpoint_interval,
-            budget=checkpoint_budget,
+    boundaries = record_boundaries(spec)
+    if strategy == "bisect":
+        every = judge_points(
+            spec, range(len(boundaries)), trace_tail=trace_tail, judge=judge
         )
-        boundaries, store = record_checkpointed(
-            spec, policy, trace_tail=trace_tail, judge=judge
+        probed = bisect_probes(
+            len(every), lambda index: bool(every[index].violations), points=points
         )
+        verdicts = [every[index] for index in probed]
     else:
-        boundaries = record_boundaries(spec)
-    try:
-        if strategy == "bisect":
-            verdicts = _bisect(
-                spec,
-                len(boundaries),
-                points=points,
-                trace_tail=trace_tail,
-                store=store,
-                judge=judge,
-            )
-        else:
-            indices = select_points(strategy, boundaries, points=points, seed=seed)
-            verdicts = _check_points(
-                spec,
-                indices,
-                jobs=jobs,
-                trace_tail=trace_tail,
-                store=store,
-                judge=judge,
-            )
-    finally:
-        if store is not None:
-            store.close()
+        indices = select_points(strategy, boundaries, points=points, seed=seed)
+        verdicts = judge_points(spec, indices, trace_tail=trace_tail, judge=judge)
     return CellReport(
         spec=spec,
         strategy=strategy,
@@ -514,26 +308,31 @@ def explore_cells(
     seed: int = 0,
     jobs: int = 1,
     trace_tail: int = 0,
-    checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
-    checkpoint_budget: int = DEFAULT_CHECKPOINT_BUDGET,
     judge=None,
 ) -> list[CellReport]:
     """Explore several cells (the ``runner crashcheck`` matrix), in order.
 
-    Points shard (and checkpoint children pool) within each cell; cells run
-    in sequence so the machine is never oversubscribed.
+    With ``jobs > 1`` whole cells run in worker processes; a ``judge``
+    must then pickle (module-level, or a ``functools.partial`` over
+    picklable values, like the recovery judge).
     """
-    return [
-        explore(
-            spec,
-            strategy=strategy,
-            points=points,
-            seed=seed,
-            jobs=jobs,
-            trace_tail=trace_tail,
-            checkpoint_every=checkpoint_every,
-            checkpoint_budget=checkpoint_budget,
-            judge=judge,
-        )
-        for spec in specs
-    ]
+    specs = list(specs)
+    explore_one = partial(
+        explore,
+        strategy=strategy,
+        points=points,
+        seed=seed,
+        trace_tail=trace_tail,
+        judge=judge,
+    )
+    if jobs <= 1 or len(specs) <= 1:
+        return [explore_one(spec) for spec in specs]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(specs)),
+        mp_context=multiprocessing.get_context("spawn"),
+    ) as pool:
+        return list(pool.map(explore_one, specs))

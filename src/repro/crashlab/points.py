@@ -7,14 +7,13 @@ such boundaries produces the same durable state as crashing right after the
 earlier one, so the boundaries are the complete crash-point space of a run —
 the bounded black-box enumeration idea applied to the simulated stack.
 
-:func:`record_boundaries` performs the recording pre-run: it replays a
+:func:`record_boundaries` performs the recording pre-run: it runs a
 :class:`~repro.scenarios.ScenarioSpec` once with an observing tap installed
 on the storage device and returns every
 :class:`~repro.storage.crash.CrashBoundary` it saw.  Because every spec run
-is a deterministic, seeded simulation, boundary *k* of any later replay is
-exactly boundary *k* of the recording — which is what lets the exploration
-engine shard replays across worker processes and still merge results
-deterministically.
+is a deterministic, seeded simulation, boundary *k* of any later run is exactly
+boundary *k* of the recording — which is what lets the exploration engine
+judge the selected points in a second run of the same spec.
 
 Three selection strategies turn the recorded boundary list into the set of
 points actually explored:
@@ -50,6 +49,17 @@ class CrashPointReached(Exception):
         self.boundary = boundary
 
 
+def boundary_at(device, index: int, kind: str, pages: int) -> CrashBoundary:
+    """The boundary a crash tap call describes, stamped with device state."""
+    return CrashBoundary(
+        index=index,
+        kind=kind,
+        time=device.sim.now,
+        pages=pages,
+        epoch=device.current_epoch,
+    )
+
+
 class BoundaryRecorder:
     """Observing tap: collects boundaries without perturbing the run."""
 
@@ -58,75 +68,9 @@ class BoundaryRecorder:
         self.boundaries: list[CrashBoundary] = []
 
     def __call__(self, kind: str, pages: int) -> None:
-        device = self.device
         self.boundaries.append(
-            CrashBoundary(
-                index=len(self.boundaries),
-                kind=kind,
-                time=device.sim.now,
-                pages=pages,
-                epoch=device.current_epoch,
-            )
+            boundary_at(self.device, len(self.boundaries), kind, pages)
         )
-
-
-class CheckpointingRecorder(BoundaryRecorder):
-    """Recording tap that also freezes fork checkpoints at scheduled boundaries.
-
-    In the recording process it records boundaries exactly like
-    :class:`BoundaryRecorder` and, whenever the store's
-    :class:`~repro.snapshot.CheckpointPolicy` schedules one, freezes the
-    whole process as a live checkpoint child
-    (:meth:`repro.snapshot.CheckpointStore.take`).  Because the fork
-    happens *inside this tap call*, the child is paused at an exact,
-    replayable boundary.
-
-    When the exploration later re-forks a checkpoint, the grandchild
-    resumes right here — ``take`` returns the request grant — and the tap
-    flips into trigger mode: it stops recording, counts onward from the
-    checkpoint boundary, and raises :class:`CrashPointReached` at the
-    requested target index, exactly as :class:`CrashTrigger` would have at
-    the same boundary of a from-scratch replay.
-    """
-
-    def __init__(self, device, store):
-        super().__init__(device)
-        self.store = store
-        #: ``(request, result_fd)`` once this process is a replay
-        #: grandchild; ``None`` in the recording process.
-        self.grant = None
-        self._count = 0
-        self._target = None
-
-    def __call__(self, kind: str, pages: int) -> None:
-        device = self.device
-        if self.grant is not None:
-            index = self._count
-            self._count += 1
-            if index >= self._target:
-                raise CrashPointReached(
-                    CrashBoundary(
-                        index=index,
-                        kind=kind,
-                        time=device.sim.now,
-                        pages=pages,
-                        epoch=device.current_epoch,
-                    )
-                )
-            return
-        super().__call__(kind, pages)
-        boundary = self.boundaries[-1]
-        if self.store.due(boundary.index, boundary.time):
-            grant = self.store.take(boundary.index, boundary.time)
-            if grant is not None:
-                # Replay grandchild, resuming at `boundary` (which has
-                # already fired): crash here if it is the target, else
-                # count onward to it.
-                self.grant = grant
-                self._count = boundary.index + 1
-                self._target = grant[0]["target"]
-                if self._target <= boundary.index:
-                    raise CrashPointReached(boundary)
 
 
 class CrashTrigger:
@@ -141,16 +85,7 @@ class CrashTrigger:
         index = self.count
         self.count += 1
         if index == self.target_index:
-            device = self.device
-            raise CrashPointReached(
-                CrashBoundary(
-                    index=index,
-                    kind=kind,
-                    time=device.sim.now,
-                    pages=pages,
-                    epoch=device.current_epoch,
-                )
-            )
+            raise CrashPointReached(boundary_at(self.device, index, kind, pages))
 
 
 def require_stack_workload(spec) -> None:

@@ -231,38 +231,6 @@ def _expand_suffix_axes(specs):
     return expanded
 
 
-def _add_checkpoint_arguments(parser) -> None:
-    """The checkpointed-replay flags shared by crashcheck and faultcheck."""
-    from repro.crashlab import DEFAULT_CHECKPOINT_EVERY
-
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
-        metavar="N",
-        help=(
-            "freeze a fork checkpoint every N recorded boundaries during "
-            "the recording run and resume each replay from the nearest "
-            "preceding checkpoint instead of from scratch (default "
-            f"{DEFAULT_CHECKPOINT_EVERY}; verdicts are bit-identical either "
-            "way, only the wall-clock changes)"
-        ),
-    )
-    parser.add_argument(
-        "--no-checkpoints", action="store_true",
-        help=(
-            "replay every crash point from scratch (the pre-checkpoint "
-            "behaviour; also the automatic fallback on platforms without "
-            "os.fork)"
-        ),
-    )
-
-
-def _checkpoint_every(parser, args):
-    """Resolve the two checkpoint flags into an ``explore()`` argument."""
-    if args.checkpoint_every < 1:
-        parser.error("--checkpoint-every must be at least 1")
-    return None if args.no_checkpoints else args.checkpoint_every
-
-
 def _parse_faults(parser, raw_faults):
     """Parse repeatable ``--fault`` plan strings into a FaultSpec tuple."""
     from repro.faults import parse_fault
@@ -564,8 +532,9 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
         prog="repro.experiments.runner crashcheck",
         description=(
             "Systematically enumerate crash points (IO boundaries recorded in "
-            "a pre-run), replay each scenario cell up to every chosen point, "
-            "cut power, and verify recovery with the registered oracles."
+            "a pre-run), then run each scenario cell once more and verify, at "
+            "every chosen point, the state a power cut would leave with the "
+            "registered oracles."
         ),
     )
     parser.add_argument(
@@ -607,7 +576,7 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
             "enumeration, sets the stratified sample size (default 32); for "
             "bisect it caps the probe density of each scout wave, not the "
             "total — re-scouting below each found failure plus the binary "
-            "refinement can replay more points than the budget"
+            "refinement can report more points than the budget"
         ),
     )
     parser.add_argument(
@@ -617,8 +586,8 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--scale", type=float, default=0.25,
         help=(
-            "iteration-count multiplier; crash exploration replays the "
-            "workload once per point, so the default is a reduced 0.25"
+            "iteration-count multiplier (default a reduced 0.25: every "
+            "chosen point is judged)"
         ),
     )
     parser.add_argument(
@@ -628,18 +597,17 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "-j", "--jobs", type=int, default=1,
         help=(
-            "worker processes; crash points are sharded individually "
-            "(default 1; bisect probes are adaptive and always run serially)"
+            "worker processes; whole cells are sharded across them "
+            "(default 1)"
         ),
     )
     parser.add_argument(
         "--trace-tail", type=int, default=0, metavar="N",
         help=(
-            "trace every replay and attach the last N spans before each "
-            "crash to its violation witness (default 0: off)"
+            "trace the judging run and attach the last N spans before each "
+            "crash point to its violation witness (default 0: off)"
         ),
     )
-    _add_checkpoint_arguments(parser)
     parser.add_argument(
         "--list", action="store_true",
         help="list the registered oracles and strategies, then exit",
@@ -703,7 +671,6 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
         seed=args.seed,
         jobs=args.jobs,
         trace_tail=max(args.trace_tail, 0),
-        checkpoint_every=_checkpoint_every(parser, args),
     )
     _emit([summary_result(reports), violations_result(reports)], args.format, args.output)
 
@@ -792,8 +759,8 @@ def faultcheck_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--scale", type=float, default=0.25,
         help=(
-            "iteration-count multiplier; fault exploration replays the "
-            "workload once per point, so the default is a reduced 0.25"
+            "iteration-count multiplier (default a reduced 0.25: every "
+            "chosen point is judged)"
         ),
     )
     parser.add_argument(
@@ -803,18 +770,17 @@ def faultcheck_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "-j", "--jobs", type=int, default=1,
         help=(
-            "worker processes; crash points are sharded individually "
-            "(default 1; bisect probes are adaptive and always run serially)"
+            "worker processes; whole cells are sharded across them "
+            "(default 1)"
         ),
     )
     parser.add_argument(
         "--trace-tail", type=int, default=0, metavar="N",
         help=(
-            "trace every replay and attach the last N spans before each "
-            "crash to its violation witness (default 0: off)"
+            "trace the judging run and attach the last N spans before each "
+            "crash point to its violation witness (default 0: off)"
         ),
     )
-    _add_checkpoint_arguments(parser)
     parser.add_argument(
         "--list", action="store_true",
         help="list the fault kinds, oracles and strategies, then exit",
@@ -910,7 +876,6 @@ def faultcheck_main(argv: list[str] | None = None) -> None:
         seed=args.seed,
         jobs=args.jobs,
         trace_tail=max(args.trace_tail, 0),
-        checkpoint_every=_checkpoint_every(parser, args),
     )
     summary = summary_result(reports)
     summary.name = "faultcheck"
@@ -1050,8 +1015,8 @@ def recoverycheck_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--scale", type=float, default=0.25,
         help=(
-            "iteration-count multiplier; recovery exploration replays the "
-            "workload once per point, so the default is a reduced 0.25"
+            "iteration-count multiplier (default a reduced 0.25: every "
+            "chosen point is judged)"
         ),
     )
     parser.add_argument(
@@ -1061,18 +1026,17 @@ def recoverycheck_main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "-j", "--jobs", type=int, default=1,
         help=(
-            "worker processes; crash points are sharded individually "
-            "(default 1; bisect probes are adaptive and always run serially)"
+            "worker processes; whole cells are sharded across them "
+            "(default 1)"
         ),
     )
     parser.add_argument(
         "--trace-tail", type=int, default=0, metavar="N",
         help=(
-            "trace every replay and attach the last N spans before each "
-            "crash to its violation witness (default 0: off)"
+            "trace the judging run and attach the last N spans before each "
+            "crash point to its violation witness (default 0: off)"
         ),
     )
-    _add_checkpoint_arguments(parser)
     parser.add_argument(
         "--list", action="store_true",
         help="list the oracles (registered + recovery), fault kinds and strategies",
@@ -1218,7 +1182,6 @@ def recoverycheck_main(argv: list[str] | None = None) -> None:
         seed=args.seed,
         jobs=args.jobs,
         trace_tail=max(args.trace_tail, 0),
-        checkpoint_every=_checkpoint_every(parser, args),
         judge=partial(recovery_judge, plan=plan),
     )
     summary = summary_result(reports)

@@ -16,8 +16,7 @@ performs exactly that computation on a :class:`~repro.core.verification.CrashPro
   capped at the recovered size.
 
 The result is a frozen, picklable value: remounts of the same probe are
-deterministic wherever they run (worker processes, checkpoint
-grandchildren).
+deterministic wherever they run.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 :func:`recovery_judge` has the same signature as the crashlab engine's
 default verdict builder and is module-level, so a
 ``functools.partial(recovery_judge, plan=...)`` pickles into process-pool
-workers and is inherited by checkpoint grandchildren.  On top of the
+workers.  The crashlab engine calls it inline, from inside the crash tap
+of the judging run: the remount builds a fresh stack from the recovered
+image and leaves the crashed one untouched.  On top of the
 registered oracles it appends two recovery verdicts:
 
 * ``recovered-acked-prefix`` — every page a durability-claiming sync

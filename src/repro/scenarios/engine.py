@@ -73,11 +73,9 @@ def prepare_spec(spec: ScenarioSpec, *, tracer=None) -> Workload:
     The install order here is a contract: fault injector first (wrapping
     the raw device methods), tracer second (wrapping the injected ones),
     and any crash tap attached by the caller afterwards — that is the
-    stack every from-scratch replay rebuilds, and therefore the exact
-    hook state a fork checkpoint freezes mid-run
-    (:mod:`repro.crashlab.engine`).  Reordering the installs would change
-    which hook sees a fault first and silently break the bit-identity
-    between checkpointed and scratch replays.
+    stack both the inline judging run and every from-scratch replay of
+    :mod:`repro.crashlab.engine` build.  Reordering the installs would
+    change which hook sees a fault first.
     """
     workload_class = WORKLOADS.get(spec.workload)
     workload = workload_class(**dict(spec.params))

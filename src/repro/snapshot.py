@@ -1,4 +1,4 @@
-"""Fork-based process snapshots: warm-start prefixes and mid-run checkpoints.
+"""Fork-based process snapshots: run a shared warm-start prefix once.
 
 A parameter sweep frequently re-simulates the same warmup prefix over and
 over: every cell of a ``calls``/``commits`` axis builds the same stack,
@@ -23,34 +23,15 @@ workload parameter *except* the workload's declared ``SUFFIX_PARAMS``
 Workloads without a declared warm/measure split, single-spec groups, and
 platforms without ``os.fork`` all fall back to plain from-scratch runs —
 results are identical either way, warm-start is purely a wall-clock lever.
-
-The second half of the module generalises the same trick from "one snapshot
-at the warm/measure split" to a **checkpoint store**: a pool of live fork
-children frozen mid-run at scheduled points (:class:`CheckpointPolicy`),
-each of which can be re-forked any number of times to resume the simulation
-from that point (:class:`CheckpointStore`).  This is what lets
-:mod:`repro.crashlab` replay a scenario to crash point *i* in
-O(delta-from-nearest-checkpoint) instead of O(i): the simics-style
-replay-from-nearest-snapshot idea, applied to exhaustive crash-state
-enumeration.  The child-pool protocol is a Unix-domain socket per
-checkpoint: the exploring parent sends a pickled request plus the write end
-of a fresh result pipe (``socket.send_fds``); the frozen child forks a
-grandchild, acks, and keeps waiting; the grandchild resumes the simulation
-frames it inherited, delivers its result over the pipe and exits.
-Platforms without ``os.fork``/``send_fds`` report
-:func:`checkpoint_supported` false and callers fall back to from-scratch
-replay — results are identical either way.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 import warnings
-from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Sequence
 
 from repro.scenarios.engine import (
     ScenarioOutcome,
@@ -69,18 +50,6 @@ class SnapshotForkError(RuntimeError):
 def fork_supported() -> bool:
     """Whether this platform can take prefix snapshots at all."""
     return hasattr(os, "fork")
-
-
-def checkpoint_supported() -> bool:
-    """Whether this platform can keep re-forkable mid-run checkpoints.
-
-    Beyond ``os.fork``, the child-pool protocol passes each result pipe to
-    the frozen child over a Unix socket, so ``socket.send_fds`` /
-    ``recv_fds`` (POSIX ``SCM_RIGHTS``) must exist too.
-    """
-    import socket
-
-    return fork_supported() and hasattr(socket, "send_fds") and hasattr(socket, "recv_fds")
 
 
 def _describe_wait_status(wait_status: int) -> str:
@@ -216,222 +185,6 @@ def run_group(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
     workload = prepare_spec(_strip_suffix_params(spec_list[0]))
     workload.warm()
     return [_run_forked(workload, spec) for spec in spec_list]
-
-
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """When to freeze a checkpoint during a recording run.
-
-    A checkpoint is due at the first scheduling opportunity (index 0) and
-    thereafter whenever ``every`` opportunities have passed since the last
-    one **or** — when ``interval`` is non-zero — the simulation clock has
-    advanced by at least ``interval`` since the last one.  ``budget`` caps
-    the live child pool; exceeding it evicts the least-recently-used
-    checkpoint (during recording nothing has been used yet, so the earliest
-    taken goes first — exploration of points below the evicted index falls
-    back to the nearest survivor, or to a from-scratch replay).
-    """
-
-    every: int = 32
-    interval: float = 0.0
-    budget: int = 64
-
-    def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ValueError(f"checkpoint spacing must be at least 1, got {self.every}")
-        if self.budget < 1:
-            raise ValueError(f"checkpoint budget must be at least 1, got {self.budget}")
-
-
-class Checkpoint:
-    """One live fork child, frozen mid-run, re-forkable on request."""
-
-    __slots__ = ("index", "time", "pid", "sock", "lock", "uses")
-
-    def __init__(self, index: int, time: float, pid: int, sock) -> None:
-        self.index = index
-        self.time = time
-        self.pid = pid
-        self.sock = sock
-        #: Serialises the send/ack handshake so concurrent requesters (the
-        #: ``jobs > 1`` thread pool) cannot interleave messages on the
-        #: stream socket; the delta replays themselves run concurrently in
-        #: the grandchildren.
-        self.lock = threading.Lock()
-        self.uses = 0
-
-    def request(self, payload: bytes) -> int:
-        """Ask the frozen child to fork a continuation for ``payload``.
-
-        Returns the read end of a fresh result pipe; the grandchild holds
-        the only surviving write end, so reading to EOF yields exactly its
-        delivered result (or nothing, if it died).
-        """
-        import socket as socket_module
-
-        read_fd, write_fd = os.pipe()
-        try:
-            with self.lock:
-                socket_module.send_fds(self.sock, [payload], [write_fd])
-                acknowledged = self.sock.recv(1)
-            self.uses += 1
-        except BaseException:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        os.close(write_fd)
-        if not acknowledged:
-            os.close(read_fd)
-            raise SnapshotForkError(
-                f"checkpoint child at boundary {self.index} (pid {self.pid}) "
-                "hung up instead of acknowledging a replay request"
-            )
-        return read_fd
-
-    def close(self) -> None:
-        """Retire the child: EOF on its socket makes it exit; reap it."""
-        if self.sock is None:
-            return
-        self.sock.close()
-        self.sock = None
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:  # pragma: no cover - already reaped
-            pass
-
-
-def _serve_checkpoint(sock):
-    """Run a frozen checkpoint child's request loop (never returns normally).
-
-    Each request forks a grandchild; the *grandchild* returns from this
-    function with ``(request, result_fd)`` so the caller's stack — the
-    paused simulation — resumes with the request applied.  The child itself
-    loops until the exploring parent closes the socket, then exits.
-    """
-    import signal
-    import socket as socket_module
-
-    # Grandchildren deliver their results over their own pipes; auto-reap
-    # them so finished replays never accumulate as zombies.
-    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    while True:
-        try:
-            message, fds, _flags, _address = socket_module.recv_fds(sock, 65_536, 1)
-        except OSError:
-            os._exit(0)
-        if not message:
-            os._exit(0)  # parent closed the socket: checkpoint retired
-        pid = os.fork()
-        if pid == 0:
-            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-            return pickle.loads(message), fds[0]
-        for fd in fds:
-            os.close(fd)
-        try:
-            # Ack only after the fork: the parent holds this checkpoint's
-            # lock until the ack, so at most one request is ever in flight
-            # on the stream socket and messages can never coalesce.
-            sock.send(b"\x01")
-        except OSError:
-            os._exit(0)
-
-
-class CheckpointStore:
-    """A bounded pool of live checkpoints taken during one recording run.
-
-    The recording process calls :meth:`due`/:meth:`take` from inside its
-    observation hook; exploration then calls :meth:`nearest` (LRU-marking)
-    and :meth:`Checkpoint.request` per point, and :meth:`close` when done.
-    ``take`` returns ``None`` in the recording process — and returns the
-    ``(request, result_fd)`` grant inside every replay grandchild that
-    later resumes from that checkpoint, which is the signal for the caller
-    to switch from recording to replaying.
-    """
-
-    def __init__(self, policy: CheckpointPolicy) -> None:
-        self.policy = policy
-        self._live: "OrderedDict[int, Checkpoint]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._last_index: Optional[int] = None
-        self._last_time: Optional[float] = None
-        self.taken = 0
-        self.evicted = 0
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def indices(self) -> list[int]:
-        """Live checkpoint indices, in ascending boundary order."""
-        return sorted(self._live)
-
-    def due(self, index: int, time: float) -> bool:
-        """Whether the policy schedules a checkpoint at this opportunity."""
-        if self._last_index is None:
-            return True
-        if index - self._last_index >= self.policy.every:
-            return True
-        return bool(self.policy.interval) and time - self._last_time >= self.policy.interval
-
-    def take(self, index: int, time: float):
-        """Freeze the current process state as the checkpoint at ``index``.
-
-        In the recording process: forks the frozen child, registers it
-        (evicting over-budget LRU children) and returns ``None``.  In a
-        grandchild forked later to service a replay request: returns that
-        request's ``(request, result_fd)`` grant.
-        """
-        import socket as socket_module
-
-        parent_sock, child_sock = socket_module.socketpair()
-        pid = os.fork()
-        if pid == 0:
-            parent_sock.close()
-            # Drop inherited parent-side sockets of earlier checkpoints:
-            # a surviving copy here would keep their children alive past
-            # close() and hang the final reap.
-            for checkpoint in self._live.values():
-                if checkpoint.sock is not None:
-                    checkpoint.sock.close()
-            self._live.clear()
-            grant = _serve_checkpoint(child_sock)
-            child_sock.close()
-            return grant
-        child_sock.close()
-        with self._lock:
-            self._live[index] = Checkpoint(index, time, pid, parent_sock)
-            self.taken += 1
-            self._last_index = index
-            self._last_time = time
-            while len(self._live) > self.policy.budget:
-                _, victim = self._live.popitem(last=False)
-                victim.close()
-                self.evicted += 1
-        return None
-
-    def nearest(self, index: int) -> Optional[Checkpoint]:
-        """The live checkpoint at the greatest boundary ``<= index``."""
-        with self._lock:
-            best = None
-            for taken_index in self._live:
-                if taken_index <= index and (best is None or taken_index > best):
-                    best = taken_index
-            if best is None:
-                return None
-            self._live.move_to_end(best)
-            return self._live[best]
-
-    def close(self) -> None:
-        """Retire every live checkpoint child and reap it."""
-        with self._lock:
-            while self._live:
-                _, checkpoint = self._live.popitem(last=False)
-                checkpoint.close()
-
-    def __enter__(self) -> "CheckpointStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def run_specs_warm_start(

@@ -185,12 +185,6 @@ class StorageDevice:
             return event
         return self._slot_freed.wait()
 
-    def flush_cache_command(self) -> Command:
-        """Build (but do not submit) a standalone FLUSH command."""
-        from repro.storage.command import flush_command
-
-        return flush_command()
-
     @property
     def queue_occupancy(self) -> int:
         """Number of commands currently sitting in the command queue."""

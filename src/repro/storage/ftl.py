@@ -132,16 +132,6 @@ class Segment:
         """Page views in log order (materialized on demand)."""
         return [SegmentPage(self, offset) for offset in range(len(self.entry_column))]
 
-    @property
-    def is_full(self) -> bool:
-        """Whether every slot of the segment has been appended."""
-        return len(self.entry_column) >= self.capacity
-
-    @property
-    def live_pages(self) -> int:
-        """Number of pages appended into this segment."""
-        return len(self.entry_column)
-
     def programmed_count(self) -> int:
         """Length of the programmed prefix (stops at the first hole)."""
         count = 0
@@ -150,10 +140,6 @@ class Segment:
                 break
             count += 1
         return count
-
-    def programmed_prefix(self) -> list[SegmentPage]:
-        """Pages up to (excluding) the first unprogrammed one, in log order."""
-        return [SegmentPage(self, offset) for offset in range(self.programmed_count())]
 
 
 class _MappingView(Mapping):

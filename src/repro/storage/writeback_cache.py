@@ -215,7 +215,3 @@ class WritebackCache:
             entry.flush_group = flush_group
             count += 1
         self._dirty_count -= count
-
-    def discard_history(self) -> None:
-        """Forget persisted history (used by very long throughput runs)."""
-        self._history = [entry for entry in self._history if not entry.is_durable]

@@ -336,12 +336,16 @@ class Tracer:
         request.completed.add_callback(on_completed)
 
     def _close_request(self, record: _RequestRecord, *, unfinished: bool = False) -> None:
-        request = record.request
-        if self._open_requests.pop(request.request_id, None) is None:
+        if self._open_requests.pop(record.request.request_id, None) is None:
             return  # already closed
+        for op, start, end, detail in self._request_spans(record, unfinished):
+            self._emit("block", op, start, end, ctx=record.ctx,
+                       epoch=record.request.issue_epoch, detail=detail)
+
+    def _request_spans(self, record: _RequestRecord, unfinished: bool) -> list[tuple]:
+        """The ``(op, start, end, detail)`` of the block spans closing ``record``."""
+        request = record.request
         now = self._sim.now
-        ctx = record.ctx
-        epoch = request.issue_epoch
         detail = {
             "req": record.alias,
             "op": request.op.value,
@@ -363,12 +367,11 @@ class Tracer:
         dispatch = min(max(dispatch, issue), now)
         transfer = record.transfer_time if record.transfer_time is not None else dispatch
         transfer = min(max(transfer, dispatch), now)
-        self._emit("block", "queue", issue, dispatch, ctx=ctx, epoch=epoch,
-                   detail=detail)
-        self._emit("block", "transfer", dispatch, transfer, ctx=ctx, epoch=epoch,
-                   detail={"req": record.alias})
-        self._emit("block", "complete", transfer, now, ctx=ctx, epoch=epoch,
-                   detail={"req": record.alias})
+        return [
+            ("queue", issue, dispatch, detail),
+            ("transfer", dispatch, transfer, {"req": record.alias}),
+            ("complete", transfer, now, {"req": record.alias}),
+        ]
 
     # ------------------------------------------------------------------ device hooks
     def _make_try_submit_wrapper(self, original):
@@ -446,3 +449,27 @@ class Tracer:
     def trace_tail(self, count: int = 12) -> list[str]:
         """The most recent ``count`` spans, rendered compactly."""
         return [span.describe() for span in self.spans.tail(count)]
+
+    def trace_tail_at_cut(self, count: int = 12) -> list[str]:
+        """:meth:`trace_tail` as it would read after :meth:`finalize`.
+
+        The spans ``finalize`` would emit for the requests still in flight
+        are built and appended to the tail without touching the tracer: no
+        request is closed, no counter or metric moves.  This is the tail a
+        crash at this instant leaves behind, read from inside a run that
+        goes on afterwards.
+        """
+        if count <= 0:
+            return []
+        pending = []
+        seq = self._span_counter
+        for record in self._open_requests.values():
+            for op, start, end, detail in self._request_spans(record, True):
+                seq += 1
+                pending.append(Span(
+                    seq=seq, layer="block", op=op, start=start, end=end,
+                    ctx=record.ctx.ctx_id if record.ctx is not None else None,
+                    epoch=record.request.issue_epoch, detail=detail,
+                ))
+        spans = self.spans.tail(count) + pending
+        return [span.describe() for span in spans[-count:]]

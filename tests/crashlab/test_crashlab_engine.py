@@ -3,11 +3,11 @@
 The acceptance contract of the subsystem: a barrier-honouring cell passes
 every applicable oracle at *every* crash point, the legacy ``NONE`` cell
 produces concrete violation witnesses (a checker that cannot fail checks
-nothing), and the report is bit-identical however many worker processes the
-points were sharded over.
+nothing), and the reports are bit-identical however many worker processes
+the cells were sharded over.
 """
 
-from repro.crashlab import check_point, explore, record_boundaries
+from repro.crashlab import check_point, explore, explore_cells, record_boundaries
 from repro.scenarios import ScenarioSpec
 
 
@@ -58,22 +58,23 @@ class TestVerdicts:
         assert verdict.verdicts, "oracles still run against the final state"
 
 
+CELLS = [spec_for(mode) for mode in ("none", "plp", "in-order-recovery")]
+
+
 class TestDeterminism:
-    def test_report_is_bit_identical_across_jobs(self):
-        results = {}
-        for jobs in (1, 4):
-            report = explore(
-                spec_for("in-order-recovery"), strategy="exhaustive", jobs=jobs
-            )
-            results[jobs] = report.points
-        assert results[1] == results[4]
+    def test_reports_are_bit_identical_across_jobs(self):
+        serial = explore_cells(CELLS, strategy="exhaustive", jobs=1)
+        sharded = explore_cells(CELLS, strategy="exhaustive", jobs=4)
+        assert [report.spec for report in serial] == CELLS
+        assert serial == sharded
 
     def test_legacy_violations_identical_across_jobs_and_runs(self):
         reports = [
-            explore(spec_for("none"), strategy="stratified", points=10, seed=7, jobs=jobs)
+            explore_cells(CELLS, strategy="stratified", points=10, seed=7, jobs=jobs)
             for jobs in (1, 4, 1)
         ]
-        assert reports[0].points == reports[1].points == reports[2].points
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0][0].violations, "the legacy cell must produce witnesses"
 
     def test_seed_changes_the_stratified_sample(self):
         spec = spec_for("in-order-recovery")

@@ -76,7 +76,7 @@ class TestRecoverycheckCLI:
             ("EXT4-OD", "none"),
         ]
 
-    def test_jobs_sharding_and_checkpoints_are_bit_identical(self, tmp_path):
+    def test_jobs_sharding_is_bit_identical(self, tmp_path):
         argv = (
             "--workload", "sync-loop",
             "--config", "barrier-dr",
@@ -86,9 +86,7 @@ class TestRecoverycheckCLI:
         )
         serial = run_cli(tmp_path, *argv, "--jobs", "1")
         sharded = run_cli(tmp_path, *argv, "--jobs", "4")
-        checkpointed = run_cli(tmp_path, *argv, "--checkpoint-every", "8")
-        scratch = run_cli(tmp_path, *argv, "--no-checkpoints")
-        assert serial == sharded == checkpointed == scratch
+        assert serial == sharded
 
     def test_fault_plan_composes_with_the_round_trip(self, tmp_path):
         # Injected media faults void the recovery guarantees conservatively:

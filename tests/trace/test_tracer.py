@@ -212,3 +212,44 @@ class TestMetrics:
             # Each P2 sketch's estimate stays within the observed range.
             assert row["min_us"] <= row["p50_us"] <= row["max_us"]
             assert row["min_us"] <= row["p99_us"] <= row["max_us"]
+
+
+class TestTailAtCut:
+    @staticmethod
+    def crashed_tracer(index: int, **tracer_kwargs) -> Tracer:
+        """A tracer over a run cut at boundary ``index``, left unfinalized."""
+        from repro.crashlab.points import CrashPointReached, CrashTrigger
+        from repro.scenarios.engine import prepare_spec
+
+        tracer = Tracer(**tracer_kwargs)
+        workload = prepare_spec(make_spec(calls=12), tracer=tracer)
+        workload.stack.device.crash_tap = CrashTrigger(workload.stack.device, index)
+        with pytest.raises(CrashPointReached):
+            workload.run()
+        return tracer
+
+    @pytest.mark.parametrize("count", [1, 4, 12])
+    def test_equals_the_tail_after_finalize_and_mutates_nothing(self, count):
+        cut_with_open_requests = 0
+        for index in range(0, 40, 3):
+            tracer = self.crashed_tracer(index, buffer_size=16)
+            spans = [(span.seq, span.describe()) for span in tracer.spans]
+            counters = (tracer._span_counter, tracer._alias_counter,
+                        tracer._ctx_counter, tracer.spans.dropped)
+            metrics = dict(tracer.metrics.counters)
+            open_requests = dict(tracer._open_requests)
+            cut_with_open_requests += bool(open_requests)
+
+            tail = tracer.trace_tail_at_cut(count)
+
+            assert [(span.seq, span.describe()) for span in tracer.spans] == spans
+            assert (tracer._span_counter, tracer._alias_counter,
+                    tracer._ctx_counter, tracer.spans.dropped) == counters
+            assert dict(tracer.metrics.counters) == metrics
+            assert tracer._open_requests == open_requests
+            tracer.finalize()
+            assert tail == tracer.trace_tail(count)
+        assert cut_with_open_requests, "no cut left a request in flight"
+
+    def test_non_positive_count_is_empty(self):
+        assert self.crashed_tracer(5).trace_tail_at_cut(0) == []
