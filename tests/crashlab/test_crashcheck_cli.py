@@ -4,7 +4,15 @@ import json
 
 import pytest
 
+from repro.crashlab import (
+    CellReport,
+    check_point,
+    record_boundaries,
+    summary_result,
+    violations_result,
+)
 from repro.experiments.runner import crashcheck_main
+from repro.scenarios import sweep
 
 
 def run_cli(tmp_path, *argv):
@@ -55,6 +63,26 @@ class TestCrashcheckCLI:
         serial = run_cli(tmp_path, *argv, "--jobs", "1")
         sharded = run_cli(tmp_path, *argv, "--jobs", "4")
         assert serial == sharded
+
+    def test_report_equals_one_rebuilt_from_scratch_replays(self, tmp_path):
+        # The JSON the CLI writes from its one judging run is byte for byte
+        # the report assembled from independent check_point replays.
+        inline = run_cli(
+            tmp_path,
+            "--workload", "sync-loop", "--config", "EXT4-DR",
+            "--barrier-mode", "none",
+            "--strategy", "exhaustive", "--scale", "0.1", "--trace-tail", "4",
+        )
+        [spec] = sweep(workloads=["sync-loop"], configs=["EXT4-DR"],
+                       barrier_modes=["none"], scale=0.1)
+        total = len(record_boundaries(spec))
+        report = CellReport(
+            spec=spec, strategy="exhaustive", seed=0, boundaries_total=total,
+            points=[check_point(spec, index, trace_tail=4) for index in range(total)],
+        )
+        assert report.violations, "the legacy cell must produce witnesses"
+        tables = [summary_result([report]), violations_result([report])]
+        assert inline == json.loads(json.dumps([t.to_dict() for t in tables]))
 
     def test_params_route_to_the_accepting_workload(self, tmp_path):
         # Like `runner sweep`: a key accepted by one selected workload rides

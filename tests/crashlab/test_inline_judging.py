@@ -11,6 +11,7 @@ the same indices, down to the JSON bytes.
 
 from functools import partial
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,12 +19,13 @@ from repro.crashlab import (
     CellReport,
     check_point,
     explore,
+    explore_cells,
     record_boundaries,
     select_points,
     summary_result,
     violations_result,
 )
-from repro.crashlab.engine import bisect_probes
+from repro.crashlab.engine import bisect_probes, judge_points
 from repro.recovery import ContinuationPlan, recovery_judge
 from repro.scenarios import ScenarioSpec
 
@@ -126,3 +128,101 @@ def test_trace_tails_and_witnesses_are_covered():
     assert any("unfinished=True" in line
                for point in inline.points for line in point.trace_tail)
     assert inline == replayed_report(spec, **kwargs)
+
+
+def spec_for(mode: str, *, workload: str = "sync-loop", faults=(), **params):
+    params = params or (
+        {"calls": 8} if workload == "sync-loop" else {"commits": 6}
+    )
+    return ScenarioSpec(
+        workload=workload,
+        config="EXT4-DR",
+        device="plain-ssd",
+        barrier_mode=mode,
+        params=params,
+        faults=faults,
+    )
+
+
+def grids(spec, **kwargs):
+    """The (replayed, inline) reports of one exploration setup."""
+    kwargs = {"strategy": "exhaustive", "points": None, "seed": 0,
+              "trace_tail": 0, "judge": None, **kwargs}
+    return replayed_report(spec, **kwargs), explore(spec, **kwargs)
+
+
+class TestBitIdentity:
+    """Fixed cells pinned inline == scratch, beside the drawn ones above."""
+
+    @pytest.mark.parametrize(
+        "mode", ["none", "plp", "in-order-writeback", "transactional", "in-order-recovery"]
+    )
+    def test_every_barrier_mode_sync_loop(self, mode):
+        replayed, inline = grids(spec_for(mode))
+        assert replayed.points == inline.points
+        assert replayed.boundaries_total == inline.boundaries_total
+
+    def test_postgres_wal_cell(self):
+        replayed, inline = grids(spec_for("in-order-recovery", workload="postgres-wal"))
+        assert replayed.points == inline.points
+
+    def test_violation_witnesses_survive_inline_judging(self):
+        replayed, inline = grids(spec_for("none", calls=12))
+        assert replayed.violations, "the legacy cell must produce witnesses"
+        assert [
+            (point.index, verdict.witness) for point, verdict in replayed.violations
+        ] == [(point.index, verdict.witness) for point, verdict in inline.violations]
+
+    def test_sharded_cells_equal_scratch_replays(self):
+        specs = [spec_for(mode, calls=10) for mode in ("none", "in-order-recovery")]
+        sharded = explore_cells(specs, strategy="exhaustive", jobs=2)
+        assert sharded == [grids(spec)[0] for spec in specs]
+
+    def test_fault_plan_replays_identically(self):
+        # The injector's fault sites derive from (plan, seed); the judging
+        # run reads the crash state mid-stream and must see exactly what a
+        # scratch replay's rebuilt injector produced up to the same cut.
+        spec = spec_for("in-order-recovery", faults=("torn-write:p=0.3",), calls=10)
+        replayed, inline = grids(spec)
+        assert replayed.points == inline.points
+
+    def test_trace_tails_are_bit_identical(self):
+        replayed, inline = grids(spec_for("none", calls=10), trace_tail=6)
+        assert any(point.trace_tail for point in replayed.points)
+        assert [point.trace_tail for point in replayed.points] == [
+            point.trace_tail for point in inline.points
+        ]
+
+    def test_bisect_filters_the_judged_boundaries(self):
+        replayed, inline = grids(spec_for("none", calls=12), strategy="bisect")
+        assert replayed.points == inline.points
+        assert len(inline.points) < inline.boundaries_total
+        assert min(p.index for p in inline.points if p.violations) == min(
+            p.index for p in replayed.points if p.violations
+        )
+
+    def test_stratified_sample_matches_scratch(self):
+        spec = spec_for("in-order-recovery", calls=10)
+        replayed, inline = grids(spec, strategy="stratified", points=5, seed=3)
+        assert [point.index for point in inline.points] == [
+            point.index for point in replayed.points
+        ]
+        assert len(inline.points) == 5
+        assert replayed.points == inline.points
+
+
+class TestJudgePoints:
+    def test_indices_past_the_last_boundary_are_rejected(self):
+        # Only check_point reaches an end-of-run state; the judging run
+        # refuses an index it never crosses instead of silently dropping it.
+        spec = spec_for("in-order-recovery")
+        total = len(record_boundaries(spec))
+        assert check_point(spec, total + 5).kind == "end-of-run"
+        with pytest.raises(ValueError, match="past the"):
+            judge_points(spec, [0, total + 5])
+
+    def test_verdicts_come_back_in_boundary_order(self):
+        spec = spec_for("in-order-recovery")
+        verdicts = judge_points(spec, [9, 2, 5])
+        assert [verdict.index for verdict in verdicts] == [2, 5, 9]
+        assert verdicts == [check_point(spec, index) for index in (2, 5, 9)]

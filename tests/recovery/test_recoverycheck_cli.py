@@ -1,10 +1,20 @@
 """The ``runner recoverycheck`` command line."""
 
 import json
+from functools import partial
 
 import pytest
 
+from repro.crashlab import (
+    CellReport,
+    check_point,
+    record_boundaries,
+    summary_result,
+    violations_result,
+)
 from repro.experiments.runner import recoverycheck_main
+from repro.recovery import ContinuationPlan, recovery_judge
+from repro.scenarios import sweep
 
 
 def run_cli(tmp_path, *argv):
@@ -87,6 +97,36 @@ class TestRecoverycheckCLI:
         serial = run_cli(tmp_path, *argv, "--jobs", "1")
         sharded = run_cli(tmp_path, *argv, "--jobs", "4")
         assert serial == sharded
+
+    def test_report_equals_one_rebuilt_from_scratch_replays(self, tmp_path):
+        # The recovery judge runs inside the one judging run; its verdicts
+        # must equal those of check_point replays under the same plan.
+        inline = run_cli(
+            tmp_path,
+            "--workload", "sync-loop",
+            "--config", "barrier-dr",
+            "--barrier-mode", "in_order_recovery",
+            "--strategy", "exhaustive", "--scale", "0.1", "--trace-tail", "4",
+            "--continuation-calls", "3",
+        )
+        [spec] = sweep(workloads=["sync-loop"], configs=["BFS-DR"],
+                       barrier_modes=["in-order-recovery"], scale=0.1)
+        judge = partial(recovery_judge, plan=ContinuationPlan(calls=3))
+        total = len(record_boundaries(spec))
+        report = CellReport(
+            spec=spec, strategy="exhaustive", seed=0, boundaries_total=total,
+            points=[check_point(spec, index, trace_tail=4, judge=judge)
+                    for index in range(total)],
+        )
+        summary = summary_result([report])
+        summary.name = "recoverycheck"
+        summary.description = (
+            "crash-point exploration with remount-and-continue verification"
+        )
+        violations = violations_result([report])
+        violations.name = "recoverycheck-violations"
+        tables = [summary.to_dict(), violations.to_dict()]
+        assert inline == json.loads(json.dumps(tables))
 
     def test_fault_plan_composes_with_the_round_trip(self, tmp_path):
         # Injected media faults void the recovery guarantees conservatively:
