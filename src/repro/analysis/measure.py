@@ -20,8 +20,10 @@ class SyncLoopResult:
     """Result of a write+sync measurement loop."""
 
     latencies: LatencyRecorder
+    #: Context switches per *completed* sync call.
     context_switches_per_call: float
     elapsed_usec: float
+    #: Requested sync calls; ``len(latencies)`` of them completed.
     calls: int
     #: Name of the :class:`~repro.fs.errors.FilesystemError` that stopped the
     #: loop early (EIO on a sync, read-only degradation on a write), or
@@ -29,11 +31,16 @@ class SyncLoopResult:
     stopped_by: str | None = None
 
     @property
+    def completed(self) -> int:
+        """Sync calls that completed (``calls`` unless the loop stopped early)."""
+        return len(self.latencies)
+
+    @property
     def iops(self) -> float:
-        """Sync calls per second."""
+        """Completed sync calls per second."""
         if self.elapsed_usec <= 0:
             return 0.0
-        return self.calls / (self.elapsed_usec / 1_000_000.0)
+        return self.completed / (self.elapsed_usec / 1_000_000.0)
 
 
 def _sync_generator(stack: IOStack, sync_call: str, fs, handle, issuer: str):
@@ -83,9 +90,11 @@ def measure_sync_latency(
         return None
 
     stack.run_process(loop())
+    # An error-stopped loop counts only the calls that completed.
+    completed = len(latencies)
     return SyncLoopResult(
         latencies=latencies,
-        context_switches_per_call=switches["total"] / calls if calls else 0.0,
+        context_switches_per_call=switches["total"] / completed if completed else 0.0,
         elapsed_usec=elapsed["usec"],
         calls=calls,
         stopped_by=stopped["by"],

@@ -158,7 +158,6 @@ class BlockDevice:
         self._outstanding += 1
         request.completed.add_callback(self._on_request_complete)
         self.scheduler.add_request(request)
-        request.queued.succeed(request)
         self._work.notify_all()
         return request
 

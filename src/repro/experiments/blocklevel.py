@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from repro.block.block_device import BlockDevice, BlockDeviceConfig
-from repro.block.request import RequestFlag
+from repro.block.request import ORDERED_BARRIER
 from repro.simulation.engine import Simulator
 from repro.simulation.stats import TimeSeries
 from repro.storage.barrier_modes import BarrierMode, default_barrier_mode
@@ -109,7 +109,7 @@ def run_scenario(
                     yield sim.timeout(50.0)
                 block.write(
                     rng.randrange(working_set_pages), 1,
-                    flags=RequestFlag.ORDERED | RequestFlag.BARRIER, issuer="app",
+                    flags=ORDERED_BARRIER, issuer="app",
                 )
             yield from block.drain()
         else:  # P: plain buffered writes, submitted in bursts so they merge.

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.block.request import RequestFlag
+from repro.block.request import ORDERED_BARRIER
 from repro.fs.errors import EIOError, FilesystemPanicError
 from repro.fs.journal.transaction import JournalTransaction, TransactionState
 from repro.simulation.resources import Condition, Store
@@ -133,14 +133,14 @@ class DualModeJournal:
             jd_lba = self.fs.allocate_journal_lba(len(descriptor))
             jd_request = block.write(
                 jd_lba, len(descriptor), payload=descriptor,
-                flags=RequestFlag.ORDERED | RequestFlag.BARRIER,
+                flags=ORDERED_BARRIER,
                 issuer="commit-thread",
             )
             commit_payload = txn.commit_payload()
             jc_lba = self.fs.allocate_journal_lba(len(commit_payload))
             jc_request = block.write(
                 jc_lba, len(commit_payload), payload=commit_payload,
-                flags=RequestFlag.ORDERED | RequestFlag.BARRIER,
+                flags=ORDERED_BARRIER,
                 issuer="commit-thread",
             )
             txn.mark_dispatched(self.sim.now)

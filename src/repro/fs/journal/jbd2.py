@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.block.request import RequestFlag
+from repro.block.request import FLUSH_FUA, RequestFlag
 from repro.fs.errors import EIOError, FilesystemPanicError
 from repro.fs.journal.transaction import JournalTransaction, TransactionState
 from repro.simulation.resources import Condition
@@ -152,7 +152,7 @@ class JBD2Journal:
 
         commit_payload = txn.commit_payload()
         jc_lba = self.fs.allocate_journal_lba(len(commit_payload))
-        jc_flags = RequestFlag.FLUSH | RequestFlag.FUA if self.use_flush_fua else RequestFlag.NONE
+        jc_flags = FLUSH_FUA if self.use_flush_fua else RequestFlag.NONE
         jc_request = block.write(
             jc_lba, len(commit_payload), payload=commit_payload,
             flags=jc_flags, issuer="jbd2",

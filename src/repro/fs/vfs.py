@@ -223,7 +223,7 @@ class FilesystemBase:
             result.blocks.extend(payload)
         if barrier_on_last and result.requests:
             last = result.requests[-1]
-            last.flags |= RequestFlag.ORDERED | RequestFlag.BARRIER
+            last.set_barrier()
         inode.dirty_pages.clear()
         inode.unallocated_pages.clear()
         self.stats.data_requests += len(result.requests)

@@ -212,7 +212,7 @@ class SyncLoopWorkload(Workload):
             extra["max_qd"] = stack.device.stats.queue_depth.peak
         return WorkloadResult(
             workload=self.name,
-            operations=loop.calls,
+            operations=loop.completed,
             elapsed_usec=loop.elapsed_usec,
             latencies=loop.latencies,
             extra=extra,

@@ -180,10 +180,14 @@ class LatencyRecorder:
     every published experiment records well under the default window, so
     their tables are bit-for-bit what the unbounded recorder produced.
     Past the window the stored list stops growing and the summary switches
-    to streaming P² sketches (fed from the very first sample, so the
-    estimate reflects the whole stream); count, mean, min and max stay
-    exact at any length.  This is what lets open-loop runs record millions
-    of operations at O(1) incremental cost.
+    to streaming P² sketches; count, mean, min and max stay exact at any
+    length.  This is what lets open-loop runs record millions of operations
+    at O(1) incremental cost.
+
+    The sketches are built only when the window first overflows, by
+    replaying the stored window into them.  P² is deterministic, so their
+    state is exactly that of sketches fed from the very first sample, and
+    a run that never overflows pays nothing for them.
     """
 
     #: Samples kept verbatim before the summary switches to the sketches.
@@ -199,7 +203,8 @@ class LatencyRecorder:
         self._total = 0.0
         self._minimum = math.inf
         self._maximum = -math.inf
-        self._sketches = tuple(P2Quantile(f) for f in _SUMMARY_FRACTIONS)
+        #: Built on the first sample past the window (see the class docstring).
+        self._sketches: tuple[P2Quantile, ...] | None = None
 
     def record(self, latency: float) -> None:
         """Add one latency sample (microseconds)."""
@@ -207,14 +212,26 @@ class LatencyRecorder:
             raise ValueError(f"negative latency sample: {latency}")
         if self._count < self.exact_window:
             self.samples.append(latency)
+        else:
+            sketches = self._sketches
+            if sketches is None:
+                sketches = self._sketches = self._replay_window()
+            for sketch in sketches:
+                sketch.observe(latency)
         self._count += 1
         self._total += latency
         if latency < self._minimum:
             self._minimum = latency
         if latency > self._maximum:
             self._maximum = latency
-        for sketch in self._sketches:
-            sketch.observe(latency)
+
+    def _replay_window(self) -> tuple[P2Quantile, ...]:
+        """Sketches fed with every stored sample, in arrival order."""
+        sketches = tuple(P2Quantile(f) for f in _SUMMARY_FRACTIONS)
+        for sketch in sketches:
+            for latency in self.samples:
+                sketch.observe(latency)
+        return sketches
 
     def extend(self, latencies: Iterable[float]) -> None:
         """Add many samples at once."""
@@ -315,6 +332,8 @@ class TimeSeries:
 class TimeWeightedStat:
     """Incremental time-weighted mean of a stepwise signal."""
 
+    __slots__ = ("_value", "_last_time", "_weighted_sum", "_duration", "peak")
+
     def __init__(self, initial: float = 0.0, start_time: float = 0.0):
         self._value = initial
         self._last_time = start_time
@@ -324,13 +343,16 @@ class TimeWeightedStat:
 
     def update(self, time: float, value: float) -> None:
         """Record that the signal changed to ``value`` at ``time``."""
-        if time < self._last_time:
+        # Called twice per device command: one subtraction, no max() call.
+        elapsed = time - self._last_time
+        if elapsed < 0:
             raise ValueError("time went backwards in TimeWeightedStat")
-        self._weighted_sum += self._value * (time - self._last_time)
-        self._duration += time - self._last_time
+        self._weighted_sum += self._value * elapsed
+        self._duration += elapsed
         self._last_time = time
         self._value = value
-        self.peak = max(self.peak, value)
+        if value > self.peak:
+            self.peak = value
 
     @property
     def current(self) -> float:

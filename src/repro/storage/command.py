@@ -14,10 +14,11 @@ It mirrors the SCSI/UFS command model the paper builds on:
   or ``HEAD_OF_QUEUE`` (service next).  Order-preserving dispatch tags
   barrier writes ``ORDERED`` so the device preserves the transfer order.
 
-Commands expose simulation events for the three milestones the IO stack
-cares about: *accepted* (slot taken in the command queue), *transferred*
-(DMA finished, data in the writeback cache) and *completed* (the command's
-semantics — including FUA/FLUSH durability — are satisfied).
+Commands expose simulation events for the two milestones the IO stack
+waits on: *transferred* (DMA finished, data in the writeback cache) and
+*completed* (the command's semantics — including FUA/FLUSH durability — are
+satisfied).  The device stamps ``accept_time`` when a command takes its
+slot in the command queue.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class CommandPriority(enum.Enum):
     HEAD_OF_QUEUE = "head-of-queue"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WrittenBlock:
     """One logical block carried by a write command.
 
@@ -77,14 +78,15 @@ class WrittenBlock:
 
 _command_ids = itertools.count(1)
 
-# Raw flag bits: ``flags.value & bit`` avoids the Flag instance that
-# Flag.__and__ allocates on every predicate call (hot in device servicing).
+# Raw flag bits: ``flags._value_ & bit`` avoids the Flag instance that
+# Flag.__and__ allocates on every predicate call, and the descriptor call of
+# the ``value`` property (hot in device servicing).
 _FUA_BIT = CommandFlag.FUA.value
 _FLUSH_BIT = CommandFlag.FLUSH.value
 _BARRIER_BIT = CommandFlag.BARRIER.value
 
 
-@dataclass
+@dataclass(slots=True)
 class Command:
     """A single command sent to the storage device."""
 
@@ -99,7 +101,6 @@ class Command:
     command_id: int = field(default_factory=lambda: next(_command_ids))
 
     # Milestone events, created by attach().
-    accepted: Optional[Event] = None
     transferred: Optional[Event] = None
     completed: Optional[Event] = None
 
@@ -130,10 +131,9 @@ class Command:
 
     def attach(self, sim: Simulator) -> "Command":
         """Create the milestone events on ``sim`` (called by the device)."""
-        if self.accepted is None:
+        if self.transferred is None:
             # Constant names: per-command f-strings were hot in the submit
             # path; ``describe()`` still identifies commands.
-            self.accepted = Event(sim, "cmd.accepted")
             self.transferred = Event(sim, "cmd.transferred")
             self.completed = Event(sim, "cmd.completed")
         return self
@@ -152,17 +152,17 @@ class Command:
     @property
     def is_barrier(self) -> bool:
         """Whether the command carries the cache-barrier flag."""
-        return self.flags.value & _BARRIER_BIT != 0
+        return self.flags._value_ & _BARRIER_BIT != 0
 
     @property
     def is_fua(self) -> bool:
         """Whether the command requires Force Unit Access durability."""
-        return self.flags.value & _FUA_BIT != 0
+        return self.flags._value_ & _FUA_BIT != 0
 
     @property
     def wants_preflush(self) -> bool:
         """Whether the cache must be flushed before servicing the command."""
-        return self.flags.value & _FLUSH_BIT != 0
+        return self.flags._value_ & _FLUSH_BIT != 0
 
     def describe(self) -> str:
         """One-line human readable description (used in traces)."""

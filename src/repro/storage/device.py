@@ -168,7 +168,6 @@ class StorageDevice:
         command.accept_time = self.sim.now
         self.stats.commands_submitted += 1
         self._record_queue_depth()
-        command.accepted.succeed(command)
         self._queue_activity.notify_all()
         return True
 

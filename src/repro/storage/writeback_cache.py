@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 from repro.storage.command import WrittenBlock
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """One logical page resident in (or flushed from) the writeback cache."""
 
