@@ -134,11 +134,6 @@ class BlockDevice:
         """Whether the barrier-enabled path is active."""
         return self.config.order_preserving
 
-    @property
-    def current_issue_epoch(self) -> int:
-        """Epoch number that newly submitted requests will belong to."""
-        return self._issue_epoch
-
     def submit(self, request: BlockRequest) -> BlockRequest:
         """Submit a request to the IO scheduler (returns immediately)."""
         request.attach(self.sim)

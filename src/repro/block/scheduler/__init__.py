@@ -18,6 +18,9 @@ _SCHEDULERS = {
     "cfq": CFQScheduler,
 }
 
+#: The scheduling disciplines :func:`make_scheduler` accepts, sorted.
+SCHEDULER_NAMES = tuple(sorted(_SCHEDULERS))
+
 
 def make_scheduler(name: str, *, epoch: bool = False, max_merge_pages: int = 64):
     """Build a scheduler by name, optionally wrapped in the epoch scheduler.
@@ -45,5 +48,6 @@ __all__ = [
     "EpochIOScheduler",
     "IOScheduler",
     "NoopScheduler",
+    "SCHEDULER_NAMES",
     "make_scheduler",
 ]

@@ -101,13 +101,6 @@ class OrderTracker:
         return sorted(durable, key=lambda record: (record.persist_time, record.transfer_seq))
 
     # ------------------------------------------------------------------ epoch views
-    def epochs_in_issue_order(self) -> dict[int, list[OrderRecord]]:
-        """Group records by the epoch assigned at issue time."""
-        groups: dict[int, list[OrderRecord]] = {}
-        for record in self.issue_order():
-            groups.setdefault(record.issue_epoch, []).append(record)
-        return groups
-
     def epochs_on_device(self) -> dict[int, list[OrderRecord]]:
         """Group records by the persist epoch assigned by the device."""
         groups: dict[int, list[OrderRecord]] = {}

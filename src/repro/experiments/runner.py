@@ -1,7 +1,7 @@
 """Run the paper's experiments — or any ad-hoc scenario matrix.
 
-Five command-line modes (see ``docs/EXPERIMENTS.md``,
-``docs/CRASH_CONSISTENCY.md``, ``docs/FAULTS.md`` and
+Six command-line modes (see ``docs/EXPERIMENTS.md``,
+``docs/CRASH_CONSISTENCY.md``, ``docs/FAULTS.md``, ``docs/RECOVERY.md`` and
 ``docs/OBSERVABILITY.md`` for full guides):
 
 * ``python -m repro.experiments.runner [scale] [--only NAME] [--jobs N]``
@@ -18,13 +18,21 @@ Five command-line modes (see ``docs/EXPERIMENTS.md``,
   --config in-order-recovery --fault flush-lie`` composes the crash
   exploration with deterministic fault injection (:mod:`repro.faults`) and
   verifies recovery with the fault-aware oracles;
+* ``python -m repro.experiments.runner recoverycheck --workload W
+  --config in-order-recovery`` remounts a fresh stack at every crash point,
+  runs a continuation on it and judges the round trip
+  (:mod:`repro.recovery`);
 * ``python -m repro.experiments.runner trace --workload W --config C
   --output trace.json --breakdown`` runs one scenario with the
   cross-layer tracer installed (:mod:`repro.trace`) and exports a
   Perfetto-loadable Chrome trace plus the per-stage fsync breakdown.
 
-All accept ``--format table|json|csv`` and ``--output PATH`` so results can
-be diffed and archived as CI artifacts.
+``sweep``, ``trace`` and the three check modes declare their scenario axes
+(``--workload``, ``--config``, ``--device``, ``--scheduler``,
+``--barrier-mode``) once and resolve every name with one spelling rule; the
+check modes share one pipeline and differ only by their :class:`_Check`
+entry.  All accept ``--format table|json|csv`` and ``--output PATH`` so
+results can be diffed and archived as CI artifacts.
 
 The experiments are mutually independent — each builds its own simulator and
 IO stacks — so :func:`run_all` can fan them out across worker processes with
@@ -39,6 +47,7 @@ property.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.reporting import ExperimentResult
@@ -150,6 +159,125 @@ def _add_output_arguments(parser) -> None:
     )
 
 
+#: Paper-facing names for the barrier stack, accepted wherever a stack
+#: configuration is named.
+_CONFIG_ALIASES = {
+    "barrier-dr": "BFS-DR",
+    "barrier-od": "BFS-OD",
+}
+
+
+def _spelling(name: str) -> str:
+    """The one spelling rule: case-insensitive, with ``_`` and ``-`` alike."""
+    return name.lower().replace("_", "-")
+
+
+def _resolve(parser, dest: str, name: str | None, choices, aliases=None):
+    """The registered spelling of ``name``, or a usage error listing ``choices``."""
+    if name is None:
+        return None
+    key = _spelling((aliases or {}).get(_spelling(name), name))
+    for choice in choices:
+        if _spelling(choice) == key:
+            return choice
+    hint = f" (or an alias of {sorted(aliases)})" if aliases else ""
+    parser.error(
+        f"unknown {dest.replace('_', ' ')} {name!r}; choose from {list(choices)}{hint}"
+    )
+
+
+def _axis_table():
+    """Axis dest -> (flags, sweep() keyword, registered names, aliases, default)."""
+    from repro.block.scheduler import SCHEDULER_NAMES
+    from repro.scenarios import DEVICES, STACK_CONFIGS, WORKLOADS
+    from repro.storage.barrier_modes import BarrierMode
+
+    return {
+        "workload": (("-w", "--workload"), "workloads", WORKLOADS.names(), None, None),
+        "config": (("-c", "--config"), "configs", STACK_CONFIGS.names(),
+                   _CONFIG_ALIASES, "EXT4-DR"),
+        "device": (("-d", "--device"), "devices", DEVICES.names(), None, "plain-ssd"),
+        "scheduler": (("--scheduler",), "schedulers", list(SCHEDULER_NAMES), None, None),
+        "barrier_mode": (("--barrier-mode",), "barrier_modes",
+                         [mode.value for mode in BarrierMode], None, None),
+    }
+
+
+def _add_axis_arguments(parser, *, many: bool, seeds: bool = False,
+                        scale: float = 1.0, faults: str = "") -> None:
+    """Declare the scenario axes plus ``--seed``, ``--scale`` and ``--param``.
+
+    ``many`` makes every axis repeatable (a matrix run on ``--jobs``
+    workers, with a ``--list``); otherwise each flag takes one value.
+    ``seeds`` makes ``--seed`` an axis too; ``faults`` ("optional" or
+    "required") adds ``--fault``.  Names are resolved by :func:`_resolve_axes`.
+    """
+    each = {"action": "append"} if many else {}
+    axis = " axis (repeatable)" if many else ""
+    for dest, (flags, _, choices, aliases, default) in _axis_table().items():
+        also = f" or an alias of {sorted(aliases)}" if aliases else ""
+        note = f"default {default or 'set by the stack'}"
+        if dest == "workload":
+            note = "required"
+        parser.add_argument(
+            *flags, metavar="NAME", required=not many and dest == "workload", **each,
+            help=f"{dest.replace('_', ' ')}{axis}; one of {choices}{also} ({note})",
+        )
+    parser.add_argument(
+        "--seed", type=int, metavar="N",
+        **({"action": "append"} if seeds else {"default": 0}),
+        help=(
+            "seed axis (repeatable, default 0)" if seeds else
+            "seed of the scenario, its fault streams and the crash-point "
+            "sampler (default 0)"
+        ),
+    )
+    parser.add_argument(
+        "--scale", type=float, default=scale,
+        help=f"iteration-count multiplier (default {scale})",
+    )
+    parser.add_argument(
+        "--param", action="append", default=[], metavar="KEY=VALUE",
+        help="workload parameter, literal-evaluated (repeatable)",
+    )
+    if faults:
+        parser.add_argument(
+            "--fault", action="append", default=[], metavar="PLAN",
+            help=(
+                f"{faults} fault plan applied to the storage device, as "
+                "KIND[:key=value,...] (repeatable; e.g. torn-write:p=0.5, "
+                "flush-lie, io-error:nth=3); see docs/FAULTS.md"
+            ),
+        )
+    if many:
+        parser.add_argument(
+            "-j", "--jobs", type=int, default=1,
+            help="worker processes the matrix is sharded across (default 1)",
+        )
+        parser.add_argument(
+            "--list", action="store_true",
+            help="list what the axes and checks can name, then exit",
+        )
+
+
+def _resolve_axes(parser, args, *, mode_configs: bool = False) -> dict:
+    """Resolve every axis flag to registered names, as ``sweep()`` keywords.
+
+    An unset axis takes its default.  With ``mode_configs`` a ``--config``
+    may also name a barrier mode (see "Axis flags" in docs/EXPERIMENTS.md).
+    """
+    table = _axis_table()
+    axes = {}
+    for dest, (_, keyword, choices, aliases, default) in table.items():
+        if dest == "config" and mode_configs:
+            choices = choices + table["barrier_mode"][2]
+        given = getattr(args, dest)
+        names = given if isinstance(given, list) else [default if given is None else given]
+        axes[keyword] = [_resolve(parser, dest, name, choices, aliases) for name in names]
+    axes["seeds"] = args.seed if isinstance(args.seed, list) else [args.seed or 0]
+    return axes
+
+
 def _parse_param(text: str) -> tuple[str, object]:
     """Parse a ``--param key=value`` pair, literal-evaluating the value."""
     import ast
@@ -167,10 +295,10 @@ def _parse_param(text: str) -> tuple[str, object]:
 def _route_params(parser, workloads: list[str], raw_params: list[str]):
     """Parse ``--param`` pairs and work out which workloads accept each key.
 
-    Shared by ``sweep`` and ``crashcheck``: each key goes to the selected
-    workloads that accept it (so sqlite's ``inserts=`` can ride alongside
-    sync-loop's ``calls=`` in one matrix); a key no selected workload
-    accepts is a usage error.  Returns ``(params, accepted_by)``.
+    Each key goes to the selected workloads that accept it (so sqlite's
+    ``inserts=`` can ride alongside sync-loop's ``calls=`` in one matrix); a
+    key no selected workload accepts is a usage error.  Returns ``(params,
+    accepted_by)``.
     """
     from repro.scenarios import WORKLOADS
 
@@ -178,12 +306,7 @@ def _route_params(parser, workloads: list[str], raw_params: list[str]):
         params = dict(_parse_param(item) for item in raw_params)
     except ValueError as error:
         parser.error(str(error))
-    try:
-        accepted_by = {
-            name: set(WORKLOADS.get(name).PARAMS) for name in set(workloads)
-        }
-    except KeyError as error:
-        parser.error(str(error.args[0]))
+    accepted_by = {name: set(WORKLOADS.get(name).PARAMS) for name in set(workloads)}
     orphans = sorted(
         key for key in params
         if not any(key in accepted for accepted in accepted_by.values())
@@ -241,33 +364,95 @@ def _parse_faults(parser, raw_faults):
         parser.error(str(error))
 
 
-def _finalize_specs(specs, params, accepted_by):
-    """Attach routed params to each spec and collapse duplicate specs.
+def _barrierfs_without_barriers(spec) -> bool:
+    """Whether ``spec`` puts BarrierFS on barrier mode ``none``.
 
-    Repeated axis values (or stack axes normalised away on raw-block
-    workloads) would otherwise run — and report — the same cell twice.
-    Dedupe is by repr: param values may be unhashable literals (lists).
+    The mode may be given or the device's default.  Such a stack cannot
+    build: the order-preserving block layer needs a barrier-capable device.
     """
-    normalized, seen = [], set()
+    from repro.scenarios.stacks import device_profile, stack_config
+    from repro.storage.barrier_modes import default_barrier_mode
+
+    if spec.config is None or stack_config(spec.config).filesystem != "barrierfs":
+        return False
+    default = default_barrier_mode(device_profile(spec.device)).value
+    return (spec.barrier_mode or default) == "none"
+
+
+def _specs(parser, args, *, faults=(), contrast: str | None = None,
+           needs_stack: str = "") -> list:
+    """The validated, deduplicated specs a command line's axes describe.
+
+    Shared by every scenario subcommand.  ``needs_stack`` (the reason) makes
+    raw-block workloads a usage error; otherwise their stack axes are
+    normalised away.  A BarrierFS config × barrier mode ``none`` cannot
+    build: with a ``contrast`` config that cell runs the contrast config
+    instead, and a barrier-mode name given as ``--config`` expands to that
+    mode on BFS-DR plus the contrast cell; without one both are usage errors.
+    """
+    from repro.scenarios import WORKLOADS, sweep
+
+    if not args.workload:
+        parser.error("at least one --workload is required (or use --list)")
+    axes = _resolve_axes(parser, args, mode_configs=contrast is not None)
+    for name in set(axes["workloads"]):
+        if needs_stack and not WORKLOADS.get(name).needs_stack:
+            parser.error(
+                f"workload {name!r} runs against the raw block device; {needs_stack}"
+            )
+    params, accepted_by = _route_params(parser, axes["workloads"], args.param)
+
+    # Consecutive configs form one device-major matrix, like ``sweep()``;
+    # each barrier-mode config contributes its own pair of cells.
+    modes = axes.pop("barrier_modes")
+    cells: list[tuple[list, list]] = []
+    for config in axes.pop("configs"):
+        if config in _axis_table()["barrier_mode"][2]:
+            if args.barrier_mode:
+                parser.error(
+                    f"--config {config!r} names a barrier mode and already "
+                    "implies the barrier-mode axis; drop --barrier-mode"
+                )
+            cells += [(["BFS-DR"], [config]), (["BFS-DR"], ["none"])]
+        elif cells and cells[-1][1] is modes:
+            cells[-1][0].append(config)
+        else:
+            cells.append(([config], modes))
+
+    specs = []
+    for configs, cell_modes in cells:
+        for spec in sweep(**axes, configs=configs, barrier_modes=cell_modes,
+                          scale=args.scale, faults=faults):
+            if not WORKLOADS.get(spec.workload).needs_stack:
+                spec = spec.with_(config=None, scheduler=None, barrier_mode=None)
+            elif _barrierfs_without_barriers(spec):
+                if contrast is None:
+                    parser.error(
+                        f"config {spec.config} cannot run with barrier mode none "
+                        f"(on device {spec.device}): the order-preserving block "
+                        "layer needs a barrier-capable device"
+                    )
+                spec = spec.with_(config=contrast)
+            specs.append(spec)
+
+    # Attach the routed params and collapse duplicate cells (repeated axis
+    # values, stack axes normalised away, the pair of a ``none`` mode
+    # config); dedupe is by repr as param values may be unhashable lists.
+    unique: dict[str, object] = {}
     for spec in specs:
         spec = spec.with_(params={
             key: value for key, value in params.items()
             if key in accepted_by[spec.workload]
         })
-        key = repr(spec)
-        if key in seen:
-            continue
-        seen.add(key)
-        normalized.append(spec)
-    return normalized
+        unique.setdefault(repr(spec), spec)
+    return list(unique.values())
 
 
 def sweep_main(argv: list[str] | None = None) -> None:
     """``runner sweep``: run an arbitrary config × device × workload matrix."""
     import argparse
 
-    from repro.scenarios import DEVICES, STACK_CONFIGS, WORKLOADS, sweep, sweep_table
-    from repro.storage.barrier_modes import BarrierMode
+    from repro.scenarios import DEVICES, STACK_CONFIGS, WORKLOADS, sweep_table
 
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner sweep",
@@ -276,51 +461,7 @@ def sweep_main(argv: list[str] | None = None) -> None:
             "matrix and tabulate it — no experiment module required."
         ),
     )
-    parser.add_argument(
-        "-w", "--workload", action="append", metavar="NAME",
-        help=f"workload axis (repeatable); one of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", action="append", metavar="NAME",
-        help=f"stack-configuration axis (repeatable); one of {STACK_CONFIGS.names()}",
-    )
-    parser.add_argument(
-        "-d", "--device", action="append", metavar="NAME",
-        help="device axis (repeatable); evaluation devices or Fig. 1 labels",
-    )
-    parser.add_argument(
-        "--scheduler", action="append", metavar="NAME",
-        help="block-scheduler axis (repeatable); default: the config's choice",
-    )
-    parser.add_argument(
-        "--barrier-mode", action="append", metavar="MODE",
-        choices=[mode.value for mode in BarrierMode],
-        help="storage barrier-mode axis (repeatable); default: the device's choice",
-    )
-    parser.add_argument(
-        "--seed", action="append", type=int, metavar="N",
-        help="seed axis (repeatable, default 0)",
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="PLAN",
-        help=(
-            "fault plan applied to the storage device, as KIND[:key=value,...] "
-            "(repeatable; e.g. torn-write:p=0.5, flush-lie, io-error:nth=3); "
-            "see docs/FAULTS.md"
-        ),
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="iteration-count multiplier (default 1.0)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes; specs are sharded individually (default 1)",
-    )
+    _add_axis_arguments(parser, many=True, seeds=True, faults="optional")
     parser.add_argument(
         "--warm-start", action="store_true",
         help=(
@@ -337,10 +478,6 @@ def sweep_main(argv: list[str] | None = None) -> None:
             "requeues, power failures, ...) to every row"
         ),
     )
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list the registered configs, devices and workloads, then exit",
-    )
     _add_output_arguments(parser)
     args = parser.parse_args(argv)
 
@@ -349,39 +486,9 @@ def sweep_main(argv: list[str] | None = None) -> None:
         print(f"devices:       {', '.join(DEVICES.names())}")
         print(f"workloads:     {', '.join(WORKLOADS.names())}")
         return
-    if not args.workload:
-        parser.error("at least one --workload is required (or use --list)")
-
-    params, accepted_by = _route_params(parser, args.workload, args.param)
     faults = _parse_faults(parser, args.fault)
-    if faults:
-        for name in set(args.workload):
-            if not WORKLOADS.get(name).needs_stack:
-                parser.error(
-                    f"workload {name!r} runs against the raw block device; "
-                    "--fault needs a filesystem stack to install the injector on"
-                )
-
-    specs = sweep(
-        workloads=args.workload,
-        configs=args.config or ["EXT4-DR"],
-        devices=args.device or ["plain-ssd"],
-        schedulers=args.scheduler or [None],
-        barrier_modes=args.barrier_mode or [None],
-        seeds=args.seed or [0],
-        scale=args.scale,
-        faults=faults,
-    )
-
-    # Stack axes mean nothing to raw-block workloads: normalise them away so
-    # the duplicate collapse in _finalize_specs folds the product back down.
-    specs = [
-        spec.with_(config=None, scheduler=None, barrier_mode=None)
-        if not WORKLOADS.get(spec.workload).needs_stack
-        else spec
-        for spec in specs
-    ]
-    specs = _finalize_specs(specs, params, accepted_by)
+    reason = "--fault needs a filesystem stack to install the injector on"
+    specs = _specs(parser, args, faults=faults, needs_stack=reason if faults else "")
     specs = _expand_suffix_axes(specs)
     result = sweep_table(
         specs,
@@ -398,10 +505,7 @@ def trace_main(argv: list[str] | None = None) -> None:
     import argparse
     import json
 
-    from repro.scenarios import STACK_CONFIGS, WORKLOADS
     from repro.scenarios.engine import run_spec_traced
-    from repro.scenarios.spec import ScenarioSpec
-    from repro.storage.barrier_modes import BarrierMode
     from repro.trace import Tracer, breakdown_result, chrome_trace
 
     parser = argparse.ArgumentParser(
@@ -414,39 +518,7 @@ def trace_main(argv: list[str] | None = None) -> None:
             "docs/OBSERVABILITY.md."
         ),
     )
-    parser.add_argument(
-        "-w", "--workload", required=True, metavar="NAME",
-        help=f"workload to trace; one of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", default="EXT4-DR", metavar="NAME",
-        help=f"stack configuration (default EXT4-DR); one of {STACK_CONFIGS.names()}",
-    )
-    parser.add_argument(
-        "-d", "--device", default="plain-ssd", metavar="NAME",
-        help="device (default plain-ssd)",
-    )
-    parser.add_argument(
-        "--scheduler", metavar="NAME",
-        help="block-scheduler override; default: the config's choice",
-    )
-    parser.add_argument(
-        "--barrier-mode", metavar="MODE",
-        choices=[mode.value for mode in BarrierMode],
-        help="storage barrier-mode override; default: the device's choice",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="scenario seed (default 0)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="iteration-count multiplier (default 1.0)",
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
+    _add_axis_arguments(parser, many=False)
     parser.add_argument(
         "--buffer", type=int, default=65_536, metavar="N",
         help="span ring-buffer capacity (default 65536; oldest dropped first)",
@@ -469,26 +541,10 @@ def trace_main(argv: list[str] | None = None) -> None:
     )
     args = parser.parse_args(argv)
 
-    params, accepted_by = _route_params(parser, [args.workload], args.param)
-    if not WORKLOADS.get(args.workload).needs_stack:
-        parser.error(
-            f"workload {args.workload!r} runs against the raw block device; "
-            "the tracer installs over a filesystem stack"
-        )
     if args.buffer < 1:
         parser.error("--buffer must be at least 1")
-    spec = ScenarioSpec(
-        workload=args.workload,
-        config=args.config,
-        device=args.device,
-        scheduler=args.scheduler,
-        barrier_mode=args.barrier_mode,
-        seed=args.seed,
-        scale=args.scale,
-        params={
-            key: value for key, value in params.items()
-            if key in accepted_by[args.workload]
-        },
+    [spec] = _specs(
+        parser, args, needs_stack="the tracer installs over a filesystem stack"
     )
     tracer = Tracer(buffer_size=args.buffer)
     outcome = run_spec_traced(spec, tracer)
@@ -519,48 +575,115 @@ def trace_main(argv: list[str] | None = None) -> None:
     print(summary)
 
 
-def crashcheck_main(argv: list[str] | None = None) -> None:
-    """``runner crashcheck``: crash every cell of a matrix and verify recovery."""
-    import argparse
+@dataclass(frozen=True)
+class _Check:
+    """What sets one check subcommand apart; the pipeline is shared."""
 
-    from repro.core.verification import ORACLES
-    from repro.crashlab import STRATEGIES, explore_cells, summary_result, violations_result
-    from repro.scenarios import STACK_CONFIGS, WORKLOADS, sweep
-    from repro.storage.barrier_modes import BarrierMode
+    #: The ``--help`` description.
+    description: str
+    #: The description of the summary table.
+    summary: str
+    #: The ``--fault`` flag: absent (""), "optional" or "required".
+    faults: str = ""
+    #: Judge with remount-and-continue (:func:`repro.recovery.recovery_judge`)
+    #: and take its continuation flags.
+    recovery: bool = False
 
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner crashcheck",
+    @property
+    def contrast(self) -> str:
+        """The legacy config that stands in for BarrierFS × none.
+
+        EXT4-OD (acks at transfer time, never flushes) under the recovery
+        judge, whose oracles judge durability promises; EXT4-DR otherwise.
+        """
+        return "EXT4-OD" if self.recovery else "EXT4-DR"
+
+
+#: Check subcommand name -> what sets it apart.
+_CHECKS = {
+    "crashcheck": _Check(
         description=(
             "Systematically enumerate crash points (IO boundaries recorded in "
             "a pre-run), then run each scenario cell once more and verify, at "
             "every chosen point, the state a power cut would leave with the "
             "registered oracles."
         ),
+        summary="systematic crash-point exploration and recovery verification",
+    ),
+    "faultcheck": _Check(
+        description=(
+            "Inject storage faults (torn/misdirected/dropped writes, flush "
+            "lies, IO errors) into a scenario matrix, crash-explore every "
+            "cell at recorded IO boundaries and verify recovery with the "
+            "fault-aware oracles."
+        ),
+        summary="crash-point exploration under injected storage faults",
+        faults="required",
+    ),
+    "recoverycheck": _Check(
+        description=(
+            "Crash-explore every cell and, at each point, remount a fresh "
+            "stack on what journal recovery reconstructs, run an append+sync "
+            "continuation, cut power again after its last acknowledgement and "
+            "judge both crashes with the recovered-* oracles on top of the "
+            "registered ones.  See docs/RECOVERY.md."
+        ),
+        summary="crash-point exploration with remount-and-continue verification",
+        faults="optional",
+        recovery=True,
+    ),
+}
+
+
+def _check_main(name: str, argv: list[str] | None) -> None:
+    """The one pipeline behind ``crashcheck``, ``faultcheck`` and ``recoverycheck``."""
+    import argparse
+    from functools import partial
+
+    from repro.apps.syncpolicy import ERROR_POLICIES
+    from repro.core.verification import ORACLES
+    from repro.crashlab import STRATEGIES, explore_cells, summary_result, violations_result
+    from repro.faults import FAULT_KINDS
+    from repro.recovery import (
+        ACKED_PREFIX_ORACLE,
+        CONTINUATION_ORACLE,
+        ContinuationPlan,
+        recovery_judge,
     )
-    parser.add_argument(
-        "-w", "--workload", action="append", metavar="NAME",
-        help=f"workload axis (repeatable); filesystem workloads of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", action="append", metavar="NAME",
-        help=f"stack-configuration axis (repeatable, default EXT4-DR); one of {STACK_CONFIGS.names()}",
-    )
-    parser.add_argument(
-        "-d", "--device", action="append", metavar="NAME",
-        help="device axis (repeatable, default plain-ssd)",
-    )
-    parser.add_argument(
-        "--scheduler", action="append", metavar="NAME",
-        help="block-scheduler axis (repeatable); default: the config's choice",
-    )
-    parser.add_argument(
-        "--barrier-mode", action="append", metavar="MODE",
-        help=(
-            "storage barrier-mode axis (repeatable; underscores and hyphens "
-            f"both accepted); one of {[mode.value for mode in BarrierMode]}; "
-            "default: the device's choice"
+
+    check = _CHECKS[name]
+    parser = argparse.ArgumentParser(
+        prog=f"repro.experiments.runner {name}",
+        description=(
+            f"{check.description}  A --config naming a barrier mode expands "
+            f"to that mode on BFS-DR plus the legacy contrast cell "
+            f"({check.contrast} with barrier mode none), which also stands in "
+            "for any BarrierFS config × none; see \"Axis flags\" in "
+            "docs/EXPERIMENTS.md."
         ),
     )
+    _add_axis_arguments(parser, many=True, scale=0.25, faults=check.faults)
+    if check.recovery:
+        parser.add_argument(
+            "--continuation-calls", type=int, default=16, metavar="N",
+            help="append+sync iterations the continuation runs (default 16)",
+        )
+        parser.add_argument(
+            "--continuation-pages", type=int, default=1, metavar="N",
+            help="pages appended per continuation iteration (default 1)",
+        )
+        parser.add_argument(
+            "--on-error", choices=ERROR_POLICIES, default="retry",
+            help=(
+                "continuation SyncPolicy when a sync raises EIOError: abort at "
+                "the first, retry up to --max-sync-retries, or reopen-and-retry "
+                "(default retry)"
+            ),
+        )
+        parser.add_argument(
+            "--max-sync-retries", type=int, default=3, metavar="N",
+            help="continuation sync retries before the error stops it (default 3)",
+        )
     parser.add_argument(
         "--strategy", choices=STRATEGIES, default="exhaustive",
         help=(
@@ -580,295 +703,61 @@ def crashcheck_main(argv: list[str] | None = None) -> None:
         ),
     )
     parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="seed for the scenario and the stratified sampler (default 0)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help=(
-            "iteration-count multiplier (default a reduced 0.25: every "
-            "chosen point is judged)"
-        ),
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help=(
-            "worker processes; whole cells are sharded across them "
-            "(default 1)"
-        ),
-    )
-    parser.add_argument(
         "--trace-tail", type=int, default=0, metavar="N",
         help=(
             "trace the judging run and attach the last N spans before each "
             "crash point to its violation witness (default 0: off)"
         ),
     )
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list the registered oracles and strategies, then exit",
-    )
     _add_output_arguments(parser)
     args = parser.parse_args(argv)
 
     if args.list:
-        print(f"strategies: {', '.join(STRATEGIES)}")
+        oracles = [(oracle.name, oracle.description) for oracle in ORACLES.values()]
+        if check.recovery:
+            oracles += [
+                (ACKED_PREFIX_ORACLE,
+                 "pages acknowledged before the crash survived it"),
+                (CONTINUATION_ORACLE,
+                 "pages the post-remount continuation acknowledged survived its crash"),
+            ]
+        heads = [("strategies:", STRATEGIES)]
+        if check.faults:
+            heads.append(("fault kinds:", FAULT_KINDS))
+        for head, names in heads:
+            print(f"{head:{len(heads[-1][0])}s} {', '.join(names)}")
         print("oracles:")
-        for oracle in ORACLES.values():
-            print(f"  {oracle.name:22s} {oracle.description}")
+        width = max(len(oracle) for oracle, _ in oracles)
+        for oracle, description in oracles:
+            print(f"  {oracle:{width}s} {description}")
         return
-    if not args.workload:
-        parser.error("at least one --workload is required (or use --list)")
-    if args.points is not None and args.points < 1:
-        parser.error("--points must be at least 1")
-
-    modes: list[str | None] = [None]
-    if args.barrier_mode:
-        modes = []
-        for mode in args.barrier_mode:
-            normalized = mode.replace("_", "-")
-            try:
-                modes.append(BarrierMode(normalized).value)
-            except ValueError:
-                parser.error(
-                    f"unknown barrier mode {mode!r}; choose from "
-                    f"{[m.value for m in BarrierMode]}"
-                )
-
-    for name in set(args.workload):
-        try:
-            workload_class = WORKLOADS.get(name)
-        except KeyError as error:
-            parser.error(str(error.args[0]))
-        if not workload_class.needs_stack:
-            parser.error(
-                f"workload {name!r} runs against the raw block device; "
-                "crashcheck needs a filesystem stack to crash and recover"
-            )
-    params, accepted_by = _route_params(parser, args.workload, args.param)
-
-    specs = _finalize_specs(
-        sweep(
-            workloads=args.workload,
-            configs=args.config or ["EXT4-DR"],
-            devices=args.device or ["plain-ssd"],
-            schedulers=args.scheduler or [None],
-            barrier_modes=modes,
-            seeds=[args.seed],
-            scale=args.scale,
-        ),
-        params,
-        accepted_by,
-    )
-    reports = explore_cells(
-        specs,
-        strategy=args.strategy,
-        points=args.points,
-        seed=args.seed,
-        jobs=args.jobs,
-        trace_tail=max(args.trace_tail, 0),
-    )
-    _emit([summary_result(reports), violations_result(reports)], args.format, args.output)
-
-
-def faultcheck_main(argv: list[str] | None = None) -> None:
-    """``runner faultcheck``: crash exploration composed with fault injection."""
-    import argparse
-
-    from repro.core.verification import ORACLES
-    from repro.crashlab import STRATEGIES, explore_cells, summary_result, violations_result
-    from repro.faults import FAULT_KINDS
-    from repro.scenarios import STACK_CONFIGS, WORKLOADS, sweep
-    from repro.storage.barrier_modes import BarrierMode
-
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner faultcheck",
-        description=(
-            "Inject storage faults (torn/misdirected/dropped writes, flush "
-            "lies, IO errors) into a scenario matrix, crash-explore every "
-            "cell at recorded IO boundaries and verify recovery with the "
-            "fault-aware oracles.  Flags mirror ``runner crashcheck``.  A "
-            "--config value naming a barrier mode (e.g. in-order-recovery) "
-            "expands to that mode on the barrier stack (BFS-DR) plus the "
-            "legacy contrast cell (EXT4-DR with barrier mode none)."
-        ),
-    )
-    parser.add_argument(
-        "-w", "--workload", action="append", metavar="NAME",
-        help=f"workload axis (repeatable); filesystem workloads of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", action="append", metavar="NAME",
-        help=(
-            "stack-configuration axis (repeatable, default EXT4-DR); one of "
-            f"{STACK_CONFIGS.names()} or a barrier-mode name "
-            f"{[mode.value for mode in BarrierMode]} (expanded as above)"
-        ),
-    )
-    parser.add_argument(
-        "-d", "--device", action="append", metavar="NAME",
-        help="device axis (repeatable, default plain-ssd)",
-    )
-    parser.add_argument(
-        "--scheduler", action="append", metavar="NAME",
-        help="block-scheduler axis (repeatable); default: the config's choice",
-    )
-    parser.add_argument(
-        "--barrier-mode", action="append", metavar="MODE",
-        help=(
-            "storage barrier-mode axis (repeatable; underscores and hyphens "
-            f"both accepted); one of {[mode.value for mode in BarrierMode]}; "
-            "default: the device's choice"
-        ),
-    )
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="PLAN",
-        help=(
-            "fault plan applied to the storage device, as KIND[:key=value,...] "
-            "(repeatable, at least one required; e.g. torn-write:p=0.5, "
-            "flush-lie, io-error:nth=3); see docs/FAULTS.md"
-        ),
-    )
-    parser.add_argument(
-        "--strategy", choices=STRATEGIES, default="exhaustive",
-        help=(
-            "crash-point selection: every recorded boundary (exhaustive), a "
-            "seeded per-kind sample (stratified), or a binary search to the "
-            "earliest failing boundary (bisect); default exhaustive"
-        ),
-    )
-    parser.add_argument(
-        "--points", type=int, metavar="N",
-        help=(
-            "crash-point budget per cell: evenly thins an exhaustive "
-            "enumeration, sets the stratified sample size (default 32); for "
-            "bisect it caps the probe density of each scout wave"
-        ),
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help=(
-            "seed for the scenario, the fault streams and the stratified "
-            "sampler (default 0)"
-        ),
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help=(
-            "iteration-count multiplier (default a reduced 0.25: every "
-            "chosen point is judged)"
-        ),
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help=(
-            "worker processes; whole cells are sharded across them "
-            "(default 1)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-tail", type=int, default=0, metavar="N",
-        help=(
-            "trace the judging run and attach the last N spans before each "
-            "crash point to its violation witness (default 0: off)"
-        ),
-    )
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list the fault kinds, oracles and strategies, then exit",
-    )
-    _add_output_arguments(parser)
-    args = parser.parse_args(argv)
-
-    if args.list:
-        print(f"strategies:  {', '.join(STRATEGIES)}")
-        print(f"fault kinds: {', '.join(FAULT_KINDS)}")
-        print("oracles:")
-        for oracle in ORACLES.values():
-            print(f"  {oracle.name:22s} {oracle.description}")
-        return
-    if not args.workload:
-        parser.error("at least one --workload is required (or use --list)")
-    if not args.fault:
+    if check.faults == "required" and not args.fault:
         parser.error(
             "at least one --fault plan is required (KIND[:key=value,...]; "
             "use crashcheck for fault-free exploration)"
         )
-    if args.points is not None and args.points < 1:
-        parser.error("--points must be at least 1")
-    faults = _parse_faults(parser, args.fault)
+    floors = {"points": 1}
+    if check.recovery:
+        floors.update(continuation_calls=1, continuation_pages=1, max_sync_retries=0)
+    for dest, floor in floors.items():
+        value = getattr(args, dest)
+        if value is not None and value < floor:
+            parser.error(f"--{dest.replace('_', '-')} must be at least {floor}")
+    specs = _specs(
+        parser, args,
+        faults=_parse_faults(parser, getattr(args, "fault", [])),
+        contrast=check.contrast,
+        needs_stack=f"{name} needs a filesystem stack to crash and recover",
+    )
 
-    modes: list[str | None] = [None]
-    if args.barrier_mode:
-        modes = []
-        for mode in args.barrier_mode:
-            normalized = mode.replace("_", "-")
-            try:
-                modes.append(BarrierMode(normalized).value)
-            except ValueError:
-                parser.error(
-                    f"unknown barrier mode {mode!r}; choose from "
-                    f"{[m.value for m in BarrierMode]}"
-                )
-
-    for name in set(args.workload):
-        try:
-            workload_class = WORKLOADS.get(name)
-        except KeyError as error:
-            parser.error(str(error.args[0]))
-        if not workload_class.needs_stack:
-            parser.error(
-                f"workload {name!r} runs against the raw block device; "
-                "faultcheck needs a filesystem stack to inject into and recover"
-            )
-    params, accepted_by = _route_params(parser, args.workload, args.param)
-
-    # A --config naming a barrier mode is sugar for the cell pair that makes
-    # the contrast legible: the mode on the order-preserving barrier stack,
-    # plus the legacy EXT4 stack with barriers off.  (BFS-DR cannot run with
-    # mode none — the order-preserving block layer needs a barrier-capable
-    # device — which is why the legacy half rides on EXT4-DR.)
-    known_configs = set(STACK_CONFIGS.names())
-    mode_values = {mode.value for mode in BarrierMode}
-    cells: list[tuple[str, list[str | None]]] = []
-    for name in args.config or ["EXT4-DR"]:
-        normalized = name.replace("_", "-")
-        if name not in known_configs and normalized in mode_values:
-            if args.barrier_mode:
-                parser.error(
-                    f"--config {name!r} names a barrier mode and already "
-                    "implies the barrier-mode axis; drop --barrier-mode"
-                )
-            aliased = BarrierMode(normalized)
-            if aliased is not BarrierMode.NONE:
-                cells.append(("BFS-DR", [aliased.value]))
-            cells.append(("EXT4-DR", [BarrierMode.NONE.value]))
-        else:
-            cells.append((name, modes))
-
-    expanded = []
-    for config, config_modes in cells:
-        expanded.extend(
-            sweep(
-                workloads=args.workload,
-                configs=[config],
-                devices=args.device or ["plain-ssd"],
-                schedulers=args.scheduler or [None],
-                barrier_modes=config_modes,
-                seeds=[args.seed],
-                scale=args.scale,
-                faults=faults,
-            )
-        )
-    specs = _finalize_specs(expanded, params, accepted_by)
+    judge = None
+    if check.recovery:
+        judge = partial(recovery_judge, plan=ContinuationPlan(
+            calls=args.continuation_calls,
+            pages_per_write=args.continuation_pages,
+            on_error=args.on_error,
+            max_sync_retries=args.max_sync_retries,
+        ))
     reports = explore_cells(
         specs,
         strategy=args.strategy,
@@ -876,322 +765,37 @@ def faultcheck_main(argv: list[str] | None = None) -> None:
         seed=args.seed,
         jobs=args.jobs,
         trace_tail=max(args.trace_tail, 0),
+        judge=judge,
     )
-    summary = summary_result(reports)
-    summary.name = "faultcheck"
-    summary.description = (
-        "crash-point exploration under injected storage faults"
-    )
-    violations = violations_result(reports)
-    violations.name = "faultcheck-violations"
+    summary, violations = summary_result(reports), violations_result(reports)
+    summary.name, summary.description = name, check.summary
+    violations.name = f"{name}-violations"
     _emit([summary, violations], args.format, args.output)
 
 
-#: ``recoverycheck`` config aliases: the paper-facing names for the barrier
-#: stack, accepted alongside the registered configuration names.
-_RECOVERY_CONFIG_ALIASES = {
-    "barrier-dr": "BFS-DR",
-    "barrier-od": "BFS-OD",
-}
+def crashcheck_main(argv: list[str] | None = None) -> None:
+    """``runner crashcheck``: crash every cell of a matrix and verify recovery."""
+    _check_main("crashcheck", argv)
+
+
+def faultcheck_main(argv: list[str] | None = None) -> None:
+    """``runner faultcheck``: crash exploration composed with fault injection."""
+    _check_main("faultcheck", argv)
 
 
 def recoverycheck_main(argv: list[str] | None = None) -> None:
     """``runner recoverycheck``: crash, remount, continue, judge the round trip."""
-    import argparse
-    from functools import partial
+    _check_main("recoverycheck", argv)
 
-    from repro.core.verification import ORACLES
-    from repro.crashlab import STRATEGIES, explore_cells, summary_result, violations_result
-    from repro.faults import FAULT_KINDS
-    from repro.recovery import (
-        ACKED_PREFIX_ORACLE,
-        CONTINUATION_ORACLE,
-        ContinuationPlan,
-        recovery_judge,
-    )
-    from repro.apps.syncpolicy import ERROR_POLICIES
-    from repro.scenarios import STACK_CONFIGS, WORKLOADS, sweep
-    from repro.scenarios.stacks import stack_config
-    from repro.storage.barrier_modes import BarrierMode
 
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner recoverycheck",
-        description=(
-            "Recover-and-continue verification: crash-explore every cell at "
-            "recorded IO boundaries and, at each point, remount a fresh "
-            "stack on what journal recovery reconstructs, run a "
-            "deterministic append+sync continuation through a SyncPolicy, "
-            "cut power again right after its last acknowledgement and judge "
-            "both crashes with the recovered-acked-prefix and "
-            "recovered-continuation-durability oracles on top of the "
-            "registered ones.  Flags mirror ``runner faultcheck`` with "
-            "--fault optional; see docs/RECOVERY.md."
-        ),
-    )
-    parser.add_argument(
-        "-w", "--workload", action="append", metavar="NAME",
-        help=f"workload axis (repeatable); filesystem workloads of {WORKLOADS.names()}",
-    )
-    parser.add_argument(
-        "-c", "--config", action="append", metavar="NAME",
-        help=(
-            "stack-configuration axis (repeatable, default EXT4-DR); one of "
-            f"{STACK_CONFIGS.names()} (case-insensitive; barrier-dr/barrier-od "
-            "alias BFS-DR/BFS-OD) or a barrier-mode name "
-            f"{[mode.value for mode in BarrierMode]} (expands to the mode on "
-            "BFS-DR plus the EXT4-OD legacy contrast cell)"
-        ),
-    )
-    parser.add_argument(
-        "-d", "--device", action="append", metavar="NAME",
-        help="device axis (repeatable, default plain-ssd)",
-    )
-    parser.add_argument(
-        "--scheduler", action="append", metavar="NAME",
-        help="block-scheduler axis (repeatable); default: the config's choice",
-    )
-    parser.add_argument(
-        "--barrier-mode", action="append", metavar="MODE",
-        help=(
-            "storage barrier-mode axis (repeatable; underscores and hyphens "
-            f"both accepted); one of {[mode.value for mode in BarrierMode]}; "
-            "default: the device's choice.  A BarrierFS config cannot build "
-            "with mode none (the order-preserving block layer needs a "
-            "barrier-capable device), so that pairing runs the EXT4-OD "
-            "legacy contrast cell instead"
-        ),
-    )
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="PLAN",
-        help=(
-            "optional fault plan applied to the storage device — and "
-            "reinstalled on the remounted stack — as KIND[:key=value,...] "
-            "(repeatable; e.g. io-error:nth=3, flush-lie); see docs/FAULTS.md"
-        ),
-    )
-    parser.add_argument(
-        "--continuation-calls", type=int, default=16, metavar="N",
-        help="append+sync iterations the continuation runs (default 16)",
-    )
-    parser.add_argument(
-        "--continuation-pages", type=int, default=1, metavar="N",
-        help="pages appended per continuation iteration (default 1)",
-    )
-    parser.add_argument(
-        "--on-error", choices=ERROR_POLICIES, default="retry",
-        help=(
-            "continuation SyncPolicy when a sync raises EIOError: abort at "
-            "the first, retry up to --max-sync-retries, or reopen-and-retry "
-            "(default retry)"
-        ),
-    )
-    parser.add_argument(
-        "--max-sync-retries", type=int, default=3, metavar="N",
-        help="continuation sync retries before the error stops it (default 3)",
-    )
-    parser.add_argument(
-        "--strategy", choices=STRATEGIES, default="exhaustive",
-        help=(
-            "crash-point selection: every recorded boundary (exhaustive), a "
-            "seeded per-kind sample (stratified), or a binary search to the "
-            "earliest failing boundary (bisect); default exhaustive"
-        ),
-    )
-    parser.add_argument(
-        "--points", type=int, metavar="N",
-        help=(
-            "crash-point budget per cell: evenly thins an exhaustive "
-            "enumeration, sets the stratified sample size (default 32); for "
-            "bisect it caps the probe density of each scout wave"
-        ),
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help=(
-            "seed for the scenario, the fault streams and the stratified "
-            "sampler (default 0)"
-        ),
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help=(
-            "iteration-count multiplier (default a reduced 0.25: every "
-            "chosen point is judged)"
-        ),
-    )
-    parser.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter, literal-evaluated (repeatable)",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help=(
-            "worker processes; whole cells are sharded across them "
-            "(default 1)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-tail", type=int, default=0, metavar="N",
-        help=(
-            "trace the judging run and attach the last N spans before each "
-            "crash point to its violation witness (default 0: off)"
-        ),
-    )
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list the oracles (registered + recovery), fault kinds and strategies",
-    )
-    _add_output_arguments(parser)
-    args = parser.parse_args(argv)
-
-    if args.list:
-        print(f"strategies:  {', '.join(STRATEGIES)}")
-        print(f"fault kinds: {', '.join(FAULT_KINDS)}")
-        print("oracles:")
-        for oracle in ORACLES.values():
-            print(f"  {oracle.name:36s} {oracle.description}")
-        print(
-            f"  {ACKED_PREFIX_ORACLE:36s} "
-            "pages acknowledged before the crash survived it"
-        )
-        print(
-            f"  {CONTINUATION_ORACLE:36s} "
-            "pages the post-remount continuation acknowledged survived its crash"
-        )
-        return
-    if not args.workload:
-        parser.error("at least one --workload is required (or use --list)")
-    if args.points is not None and args.points < 1:
-        parser.error("--points must be at least 1")
-    if args.continuation_calls < 1:
-        parser.error("--continuation-calls must be at least 1")
-    if args.continuation_pages < 1:
-        parser.error("--continuation-pages must be at least 1")
-    if args.max_sync_retries < 0:
-        parser.error("--max-sync-retries must be at least 0")
-    faults = _parse_faults(parser, args.fault)
-
-    modes: list[str | None] = [None]
-    if args.barrier_mode:
-        modes = []
-        for mode in args.barrier_mode:
-            normalized = mode.replace("_", "-")
-            try:
-                modes.append(BarrierMode(normalized).value)
-            except ValueError:
-                parser.error(
-                    f"unknown barrier mode {mode!r}; choose from "
-                    f"{[m.value for m in BarrierMode]}"
-                )
-
-    for name in set(args.workload):
-        try:
-            workload_class = WORKLOADS.get(name)
-        except KeyError as error:
-            parser.error(str(error.args[0]))
-        if not workload_class.needs_stack:
-            parser.error(
-                f"workload {name!r} runs against the raw block device; "
-                "recoverycheck needs a filesystem stack to crash and remount"
-            )
-    params, accepted_by = _route_params(parser, args.workload, args.param)
-
-    # Config resolution: registered names (case-insensitive), the
-    # barrier-dr/barrier-od aliases, or — like faultcheck — a barrier-mode
-    # name as sugar for the contrast pair.  The legacy half of the pair is
-    # EXT4-OD here (not faultcheck's EXT4-DR): recoverycheck's oracles are
-    # about durability promises, and EXT4-OD is the stack that acknowledges
-    # at transfer time without a flush — the fsyncgate cell.
-    known_configs = set(STACK_CONFIGS.names())
-    by_lower = {name.lower(): name for name in known_configs}
-    mode_values = {mode.value for mode in BarrierMode}
-    cells: list[tuple[str, list[str | None]]] = []
-    for name in args.config or ["EXT4-DR"]:
-        normalized = name.replace("_", "-")
-        resolved = by_lower.get(name.lower()) or by_lower.get(
-            _RECOVERY_CONFIG_ALIASES.get(name.lower(), "").lower()
-        )
-        if resolved is None and normalized in mode_values:
-            if args.barrier_mode:
-                parser.error(
-                    f"--config {name!r} names a barrier mode and already "
-                    "implies the barrier-mode axis; drop --barrier-mode"
-                )
-            aliased = BarrierMode(normalized)
-            if aliased is not BarrierMode.NONE:
-                cells.append(("BFS-DR", [aliased.value]))
-            cells.append(("EXT4-OD", [BarrierMode.NONE.value]))
-            continue
-        if resolved is None:
-            parser.error(
-                f"unknown config {name!r}; choose from {STACK_CONFIGS.names()} "
-                f"(or aliases {sorted(_RECOVERY_CONFIG_ALIASES)}, or a "
-                f"barrier-mode name of {sorted(mode_values)})"
-            )
-        cells.append((resolved, modes))
-
-    expanded = []
-    for config, config_modes in cells:
-        devices = args.device or ["plain-ssd"]
-        barrier_stack = stack_config(config, devices[0]).filesystem == "barrierfs"
-        kept: list[str | None] = []
-        for mode in config_modes:
-            if barrier_stack and mode == BarrierMode.NONE.value:
-                # BFS-* × none cannot build (BlockDevice refuses an
-                # order-preserving layer on a device whose mode supports no
-                # barrier); substitute the EXT4-OD legacy contrast cell.
-                expanded.extend(
-                    sweep(
-                        workloads=args.workload,
-                        configs=["EXT4-OD"],
-                        devices=devices,
-                        schedulers=args.scheduler or [None],
-                        barrier_modes=[mode],
-                        seeds=[args.seed],
-                        scale=args.scale,
-                        faults=faults,
-                    )
-                )
-            else:
-                kept.append(mode)
-        if kept:
-            expanded.extend(
-                sweep(
-                    workloads=args.workload,
-                    configs=[config],
-                    devices=devices,
-                    schedulers=args.scheduler or [None],
-                    barrier_modes=kept,
-                    seeds=[args.seed],
-                    scale=args.scale,
-                    faults=faults,
-                )
-            )
-    specs = _finalize_specs(expanded, params, accepted_by)
-
-    plan = ContinuationPlan(
-        calls=args.continuation_calls,
-        pages_per_write=args.continuation_pages,
-        on_error=args.on_error,
-        max_sync_retries=args.max_sync_retries,
-    )
-    reports = explore_cells(
-        specs,
-        strategy=args.strategy,
-        points=args.points,
-        seed=args.seed,
-        jobs=args.jobs,
-        trace_tail=max(args.trace_tail, 0),
-        judge=partial(recovery_judge, plan=plan),
-    )
-    summary = summary_result(reports)
-    summary.name = "recoverycheck"
-    summary.description = (
-        "crash-point exploration with remount-and-continue verification"
-    )
-    violations = violations_result(reports)
-    violations.name = "recoverycheck-violations"
-    _emit([summary, violations], args.format, args.output)
+#: Subcommand name -> entry point; anything else runs the paper's tables.
+_SUBCOMMANDS = {
+    "sweep": sweep_main,
+    "trace": trace_main,
+    "crashcheck": crashcheck_main,
+    "faultcheck": faultcheck_main,
+    "recoverycheck": recoverycheck_main,
+}
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -1200,20 +804,8 @@ def main(argv: list[str] | None = None) -> None:
     import sys
 
     arguments = list(sys.argv[1:]) if argv is None else list(argv)
-    if arguments and arguments[0] == "sweep":
-        sweep_main(arguments[1:])
-        return
-    if arguments and arguments[0] == "trace":
-        trace_main(arguments[1:])
-        return
-    if arguments and arguments[0] == "crashcheck":
-        crashcheck_main(arguments[1:])
-        return
-    if arguments and arguments[0] == "faultcheck":
-        faultcheck_main(arguments[1:])
-        return
-    if arguments and arguments[0] == "recoverycheck":
-        recoverycheck_main(arguments[1:])
+    if arguments and arguments[0] in _SUBCOMMANDS:
+        _SUBCOMMANDS[arguments[0]](arguments[1:])
         return
 
     parser = argparse.ArgumentParser(
@@ -1224,27 +816,20 @@ def main(argv: list[str] | None = None) -> None:
             "--help` for crash-recovery checking, `... runner faultcheck "
             "--help` for crash checking under injected storage faults, "
             "`... runner recoverycheck --help` for remount-and-continue "
-            "verification)."
+            "verification, `... runner trace --help` for cross-layer "
+            "tracing)."
         ),
     )
     parser.add_argument(
-        "scale",
-        nargs="?",
-        type=float,
-        default=1.0,
+        "scale", nargs="?", type=float, default=1.0,
         help="iteration-count multiplier for every experiment (default 1.0)",
     )
     parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
+        "-j", "--jobs", type=int, default=1,
         help="number of worker processes (default 1: run serially)",
     )
     parser.add_argument(
-        "--only",
-        action="append",
-        metavar="NAME",
+        "--only", action="append", metavar="NAME",
         help="run only the named experiment (repeatable)",
     )
     _add_output_arguments(parser)

@@ -144,11 +144,6 @@ class Workload(abc.ABC):
         self.device = device or (stack.config.device if stack is not None else None)
         return self
 
-    @property
-    def supports_warm_start(self) -> bool:
-        """Whether the workload declares a forkable warm/measure split."""
-        return bool(self.SUFFIX_PARAMS)
-
     def warm(self) -> None:
         """Run the shared warmup prefix (default: nothing).
 

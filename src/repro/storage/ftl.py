@@ -77,11 +77,6 @@ class SegmentPage:
         return self.segment.entry_column[self.offset]
 
     @property
-    def appended_at(self) -> float:
-        """Simulation time the entry was appended to the log."""
-        return self.segment.appended_column[self.offset]
-
-    @property
     def programmed_at(self) -> Optional[float]:
         """Time the program finished, or ``None`` while outstanding."""
         value = self.segment.programmed_column[self.offset]
@@ -92,12 +87,6 @@ class SegmentPage:
         self.segment.programmed_column[self.offset] = (
             _NOT_PROGRAMMED if value is None else value
         )
-
-    @property
-    def is_programmed(self) -> bool:
-        """Whether the page has been programmed to flash."""
-        value = self.segment.programmed_column[self.offset]
-        return value == value  # not NaN
 
     def __repr__(self) -> str:
         return (

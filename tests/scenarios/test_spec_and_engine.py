@@ -234,6 +234,36 @@ class TestRunnerCLI:
         assert len(table["rows"]) == 1
         assert table["rows"][0][:3] == ["ufs", "BFS-OD", "sync-loop"]
 
+    def test_sweep_and_trace_accept_every_spelling_of_an_axis_name(
+        self, tmp_path, capsys
+    ):
+        # One spelling rule for every subcommand: case-insensitive names,
+        # `_` and `-` alike, and the barrier-dr/barrier-od config aliases.
+        from repro.experiments.runner import main
+
+        output = tmp_path / "spellings.json"
+        main([
+            "sweep", "-w", "Sync_Loop", "-c", "ext4-dr", "-c", "barrier-od",
+            "-d", "UFS", "--scheduler", "NOOP",
+            "--barrier-mode", "in_order_recovery", "--param", "calls=3",
+            "--format", "json", "--output", str(output),
+        ])
+        [table] = json.loads(output.read_text())
+        rows = [dict(zip(table["columns"], row)) for row in table["rows"]]
+        assert [
+            (row["device"], row["config"], row["workload"], row["scheduler"],
+             row["barrier_mode"]) for row in rows
+        ] == [
+            ("ufs", "EXT4-DR", "sync-loop", "noop", "in-order-recovery"),
+            ("ufs", "BFS-OD", "sync-loop", "noop", "in-order-recovery"),
+        ]
+
+        main([
+            "trace", "-w", "sync_loop", "-c", "Barrier_DR",
+            "--barrier-mode", "In-Order-Writeback", "--param", "calls=3",
+        ])
+        assert capsys.readouterr().out.startswith("traced 3 operations")
+
     def test_sweep_list_prints_registries(self, capsys):
         from repro.experiments.runner import main
 
