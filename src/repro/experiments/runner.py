@@ -404,10 +404,10 @@ def _specs(parser, args, *, faults=(), contrast: str | None = None,
 
     # Consecutive configs form one device-major matrix, like ``sweep()``;
     # each barrier-mode config contributes its own pair of cells.
-    modes = axes.pop("barrier_modes")
+    modes, mode_names = axes.pop("barrier_modes"), _axis_table()["barrier_mode"][2]
     cells: list[tuple[list, list]] = []
     for config in axes.pop("configs"):
-        if config in _axis_table()["barrier_mode"][2]:
+        if config in mode_names:
             if args.barrier_mode:
                 parser.error(
                     f"--config {config!r} names a barrier mode and already "
