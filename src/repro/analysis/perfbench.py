@@ -29,6 +29,11 @@ a first-class artifact.  This module measures four rates:
   machinery stays effectively free on the no-fault hot path.
   All overhead metrics report the median of interleaved sample pairs —
   see :func:`_installed_hook_overhead_pct` for the noise discipline.
+* ``retained_kib_per_sync`` — heap (``tracemalloc``) a ``BFS-DR`` stack
+  still holds after a drained 400-sync loop, divided by 400: what the
+  stack keeps per IO once the IO is done.  Deterministic for a given
+  Python version, so a small ceiling catches any per-IO object that starts
+  outliving its IO again.
 * ``crashcheck_replay_wall_sec`` / ``crashcheck_inline_wall_sec`` /
   ``crash_inline_speedup`` — wall-clock of one exhaustive crashcheck cell
   with every point replayed from scratch vs judged inline in one run
@@ -42,11 +47,13 @@ docs/PERFORMANCE.md for how to read it.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import statistics
 import subprocess
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Any, Callable
 
@@ -107,6 +114,27 @@ def fsync_rate(calls: int = 400, config: str = "BFS-DR") -> float:
     start = time.perf_counter()
     measure_sync_latency(stack, calls=calls, sync_call="fsync", allocating=True)
     return calls / (time.perf_counter() - start)
+
+
+def retained_kib_per_sync(calls: int = 400, config: str = "BFS-DR") -> float:
+    """KiB of heap a stack still holds after ``calls`` drained syncs, per sync."""
+    # Warm up untraced first, so lazily imported modules and first-use
+    # caches are not charged to the measured stack.
+    warm = build_stack(standard_config(config))
+    measure_sync_latency(warm, calls=10, sync_call="fsync")
+    del warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stack = build_stack(standard_config(config))
+        measure_sync_latency(stack, calls=calls, sync_call="fsync")
+        stack.sim.run()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return held / 1024 / calls
 
 
 def _installed_hook_overhead_pct(
@@ -337,6 +365,8 @@ def collect_metrics(*, repeats: int = 3, quick: bool = False) -> dict[str, float
             _best(lambda: table1_wallclock(scale), repeats, minimize=True), 4
         ),
         "table1_scale": scale,
+        # Fixed at 400 syncs in quick mode too, so CI gates the same figure.
+        "retained_kib_per_sync": round(retained_kib_per_sync(), 3),
         # One call with more interleaved pairs, not best-of-repeats: the
         # median over per-pair overheads is the de-noised estimator; an
         # outer best-of would re-introduce exactly the one-sided excursions

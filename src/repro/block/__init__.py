@@ -13,6 +13,8 @@ the paper):
   so the device preserves the transfer order without the host waiting).
 * :mod:`repro.block.block_device` — :class:`BlockDevice`, the queue +
   dispatcher process the filesystems submit requests to.
+* :mod:`repro.block.logs` — the columnar issue and dispatch logs the block
+  device keeps for the verification code, in place of the requests.
 """
 
 from repro.block.block_device import BlockDevice, BlockDeviceConfig

@@ -3,8 +3,8 @@
 :class:`BlockDevice` is what the filesystems submit :class:`BlockRequest`
 objects to.  It owns an IO scheduler (optionally the epoch scheduler), a
 dispatcher process that turns scheduled requests into device commands, and
-the bookkeeping the verification and experiment code rely on (issue /
-dispatch logs, epoch numbering, per-request milestone events).
+the bookkeeping the verification and experiment code rely on (columnar
+issue / dispatch logs, epoch numbering, per-request milestone events).
 
 The barrier-enabled configuration is: epoch scheduler + order-preserving
 dispatch + a barrier-capable device.  The legacy configuration is: a stock
@@ -16,10 +16,11 @@ baseline measurements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 from repro.block.dispatch import DispatchPolicy, request_to_command
+from repro.block.logs import DispatchLog, IssueLog
 from repro.block.request import BlockRequest, RequestFlag, RequestOp
 from repro.block.scheduler import EpochIOScheduler, IOScheduler, make_scheduler
 from repro.simulation.engine import Event, Simulator
@@ -48,9 +49,6 @@ class BlockDeviceConfig:
     #: paper quotes ~3 ms for SCSI); if ``None`` the dispatcher waits for a
     #: queue slot to free, which is what a completion-driven kernel does.
     busy_retry_interval: Optional[float] = None
-    #: Keep per-request issue/dispatch logs (needed by the verification and
-    #: ordering experiments; long throughput runs may turn it off).
-    keep_logs: bool = True
     #: Bounded retry budget for commands the device completes with an error
     #: status (``repro.faults`` io-error injection); once exhausted the
     #: request fails with ``request.error`` set instead of retrying forever.
@@ -96,7 +94,31 @@ class BlockDeviceStats:
 
 
 class BlockDevice:
-    """Block layer instance bound to one storage device."""
+    """Block layer instance bound to one storage device.
+
+    Two append-only columnar logs record the issue order I and the dispatch
+    order D for the verification code; neither refers back to a request,
+    so a request is freed when it completes.
+
+    ``issue_log`` (:class:`~repro.block.logs.IssueLog`) has one row per
+    submitted request; row ``i`` is the request with ``issue_seq == i + 1``:
+
+    * ``issue_epoch`` — the epoch the request was issued in;
+    * ``dispatch_seq`` — its position in D, ``0`` until dispatched; a
+      request merged into another gets the absorbing request's.
+
+    Its page columns hold one entry per page of each dispatched write, in
+    dispatch order: ``page_block`` / ``page_version`` (the
+    :class:`WrittenBlock` identity) and ``page_row`` (the issue row of the
+    dispatched request — for a merged page, the request that absorbed it).
+
+    ``dispatch_log`` (:class:`~repro.block.logs.DispatchLog`) has one row
+    per dispatched request, in dispatch order: ``request_id``,
+    ``issue_epoch``, ``op``, ``lba``, ``num_pages``, ``flags`` and
+    ``issuer``.  ``lba``/``num_pages`` include merged requests and
+    ``flags`` are those the request left the scheduler with — the epoch
+    scheduler moves the barrier before dispatch.
+    """
 
     def __init__(
         self,
@@ -118,8 +140,8 @@ class BlockDevice:
             max_merge_pages=self.config.max_merge_pages,
         )
         self.stats = BlockDeviceStats()
-        self.issue_log: list[BlockRequest] = []
-        self.dispatch_log: list[BlockRequest] = []
+        self.issue_log = IssueLog()
+        self.dispatch_log = DispatchLog()
         self._issue_seq = itertools.count(1)
         self._dispatch_seq = itertools.count(1)
         self._issue_epoch = 0
@@ -139,7 +161,10 @@ class BlockDevice:
         request.attach(self.sim)
         request.issue_seq = next(self._issue_seq)
         request.issue_time = self.sim.now
-        request.issue_epoch = self._issue_epoch
+        request.issue_epoch = epoch = self._issue_epoch
+        log = self.issue_log
+        log.issue_epoch.append(epoch)
+        log.dispatch_seq.append(0)
         if request.is_barrier:
             if self.config.order_preserving:
                 self._issue_epoch += 1
@@ -148,8 +173,6 @@ class BlockDevice:
             self.stats.flush_requests += 1
         self.stats.requests_submitted += 1
         self.stats.pages_submitted += request.num_pages
-        if self.config.keep_logs:
-            self.issue_log.append(request)
         self._outstanding += 1
         request.completed.add_callback(self._on_request_complete)
         self.scheduler.add_request(request)
@@ -223,12 +246,26 @@ class BlockDevice:
         try_submit = self.device.try_submit
         dispatch_policy = config.dispatch_policy
         submit_overhead = config.submit_overhead
-        keep_logs = config.keep_logs
-        dispatch_log = self.dispatch_log
         dispatch_seq = self._dispatch_seq
+        issued = self.issue_log
+        issued_dispatch_seq = issued.dispatch_seq
+        page_block = issued.page_block.append
+        page_version = issued.page_version.append
+        page_row = issued.page_row.append
+        log = self.dispatch_log
+        log_request_id = log.request_id.append
+        log_issue_epoch = log.issue_epoch.append
+        log_op = log.op.append
+        log_lba = log.lba.append
+        log_num_pages = log.num_pages.append
+        log_flags = log.flags.append
+        log_issuer = log.issuer.append
         while True:
             batch = next_batch()
             if not batch:
+                # Drop the last request and command before idling, so a
+                # drained stack keeps neither alive.
+                request = command = None
                 yield self._work.wait()
                 continue
             for request in batch:
@@ -249,17 +286,29 @@ class BlockDevice:
                 if not submitted:
                     self._fail_request(request, command.error or "device-busy")
                     continue
-                request.dispatch_seq = next(dispatch_seq)
+                request.dispatch_seq = seq = next(dispatch_seq)
                 request.dispatch_time = sim.now
                 stats.requests_dispatched += 1
-                if keep_logs:
-                    dispatch_log.append(request)
-                request.dispatched.succeed(request)
+                row = request.issue_seq - 1
+                issued_dispatch_seq[row] = seq
+                for written in request.payload:
+                    page_block(written.block)
+                    page_version(written.version)
+                    page_row(row)
+                log_request_id(request.request_id)
+                log_issue_epoch(request.issue_epoch)
+                log_op(request.op)
+                log_lba(request.lba)
+                log_num_pages(request.num_pages)
+                log_flags(request.flags)
+                log_issuer(request.issuer)
+                request.dispatched.succeed()
                 for merged in request.merged_requests:
                     if merged.dispatched is not None and not merged.dispatched.triggered:
-                        merged.dispatch_seq = request.dispatch_seq
+                        merged.dispatch_seq = seq
                         merged.dispatch_time = request.dispatch_time
-                        merged.dispatched.succeed(merged)
+                        issued_dispatch_seq[merged.issue_seq - 1] = seq
+                        merged.dispatched.succeed()
                 self._wire_completion(request, command)
 
     def _submit_with_backpressure(self, command):

@@ -99,7 +99,10 @@ class BlockRequest:
     #: reported an error.
     retries: int = 0
 
-    # Milestone events (created by the block device).
+    # Milestone events (created by the block device).  They fire with no
+    # value: an event keeps its value, and the request itself there would
+    # make every request a reference cycle that only the cyclic collector
+    # frees.
     dispatched: Optional[Event] = None
     transferred: Optional[Event] = None
     completed: Optional[Event] = None
@@ -174,17 +177,17 @@ class BlockRequest:
     # -- completion relays (wired to device commands by the dispatcher) --------
     def relay_transferred(self, _event: Event) -> None:
         """Propagate a device DMA completion to this request and its merges."""
-        self.transferred.succeed(self)
+        self.transferred.succeed()
         for merged in self.merged_requests:
             if merged.transferred is not None and not merged.transferred.triggered:
-                merged.transferred.succeed(merged)
+                merged.transferred.succeed()
 
     def relay_completed(self, _event: Event) -> None:
         """Propagate a device command completion to this request and its merges."""
-        self.completed.succeed(self)
+        self.completed.succeed()
         for merged in self.merged_requests:
             if merged.completed is not None and not merged.completed.triggered:
-                merged.completed.succeed(merged)
+                merged.completed.succeed()
 
     def fail(self, error: str) -> None:
         """Complete the request with an error status.
@@ -198,7 +201,7 @@ class BlockRequest:
         self.error = error
         for event in (self.dispatched, self.transferred, self.completed):
             if event is not None and not event.triggered:
-                event.succeed(self)
+                event.succeed()
         for merged in self.merged_requests:
             if merged.error is None:
                 merged.fail(error)
@@ -232,20 +235,38 @@ class BlockRequest:
 
     def describe(self) -> str:
         """One-line description for traces and error messages."""
-        names = []
-        for flag, label in (
-            (RequestFlag.ORDERED, "ORDERED"),
-            (RequestFlag.BARRIER, "BARRIER"),
-            (RequestFlag.FLUSH, "FLUSH"),
-            (RequestFlag.FUA, "FUA"),
-        ):
-            if self.flags & flag:
-                names.append(label)
-        flag_text = "|".join(names) if names else "-"
-        return (
-            f"req#{self.request_id} {self.op.value} lba={self.lba} "
-            f"pages={self.num_pages} flags={flag_text} by={self.issuer}"
+        return describe_request(
+            self.request_id, self.op, self.lba, self.num_pages, self.flags, self.issuer
         )
+
+
+_FLAG_LABELS = (
+    (_ORDERED_BIT, "ORDERED"),
+    (_BARRIER_BIT, "BARRIER"),
+    (_FLUSH_BIT, "FLUSH"),
+    (_FUA_BIT, "FUA"),
+)
+
+
+def describe_request(
+    request_id: int,
+    op: RequestOp,
+    lba: int,
+    num_pages: int,
+    flags: RequestFlag,
+    issuer: str,
+) -> str:
+    """The one-line text of :meth:`BlockRequest.describe`, from plain fields.
+
+    Shared with the block layer's dispatch log, which keeps these fields
+    after the request itself is gone.
+    """
+    bits = flags._value_
+    flag_text = "|".join(label for bit, label in _FLAG_LABELS if bits & bit) or "-"
+    return (
+        f"req#{request_id} {op.value} lba={lba} "
+        f"pages={num_pages} flags={flag_text} by={issuer}"
+    )
 
 
 def write_request(

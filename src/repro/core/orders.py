@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.block.block_device import BlockDevice
-from repro.block.request import BlockRequest
 from repro.storage.device import StorageDevice
-from repro.storage.writeback_cache import CacheEntry
 
 
 @dataclass
@@ -43,15 +41,22 @@ class OrderTracker:
     records: list[OrderRecord] = field(default_factory=list)
 
     def collect(self) -> list[OrderRecord]:
-        """Build (and cache) the order records for the run so far."""
-        request_by_id: dict[int, BlockRequest] = {}
-        for request in self.block_device.issue_log:
-            request_by_id[request.request_id] = request
-            for merged in request.merged_requests:
-                request_by_id[merged.request_id] = merged
+        """Build (and cache) the order records for the run so far.
 
-        # Map command ids back to the block request that produced them via
-        # the command tag set by the dispatcher.
+        A cache entry is charged to the earliest-issued dispatched request
+        whose payload carried its ``(block, version)``; a page merged into
+        another request counts as the absorbing request's.
+        """
+        log = self.block_device.issue_log
+        owner: dict[tuple[object, int], int] = {}
+        for block, version, row in zip(log.page_block, log.page_version, log.page_row):
+            key = (block, version)
+            current = owner.get(key)
+            if current is None or row < current:
+                owner[key] = row
+
+        issue_epoch = log.issue_epoch
+        dispatch_seq = log.dispatch_seq
         records: list[OrderRecord] = []
         for entry in self.storage_device.written_history():
             record = OrderRecord(
@@ -61,24 +66,14 @@ class OrderTracker:
                 persist_time=entry.durable_time,
                 device_epoch=entry.epoch,
             )
-            request = self._request_for_entry(entry, request_by_id)
-            if request is not None:
-                record.issue_seq = request.issue_seq
-                record.issue_epoch = request.issue_epoch
-                record.dispatch_seq = request.dispatch_seq
+            row = owner.get((entry.block, entry.version))
+            if row is not None:
+                record.issue_seq = row + 1
+                record.issue_epoch = issue_epoch[row]
+                record.dispatch_seq = dispatch_seq[row] or None
             records.append(record)
         self.records = records
         return records
-
-    def _request_for_entry(
-        self, entry: CacheEntry, request_by_id: dict[int, BlockRequest]
-    ) -> Optional[BlockRequest]:
-        # The dispatcher tags each command with the originating request id.
-        for request in request_by_id.values():
-            for block in request.payload:
-                if block.block == entry.block and block.version == entry.version:
-                    return request
-        return None
 
     # ------------------------------------------------------------------ orders
     def issue_order(self) -> list[OrderRecord]:

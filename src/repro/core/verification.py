@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.block.request import BlockRequest
+from repro.block.logs import DispatchLog, DispatchRecord
 from repro.fs.journal.transaction import JournalTransaction
 from repro.storage.barrier_modes import BarrierMode
 from repro.storage.crash import CrashState
@@ -110,22 +110,27 @@ def epoch_prefix_holds(state: CrashState) -> bool:
     return True
 
 
-def verify_dispatch_preserves_epochs(dispatch_log: Sequence[BlockRequest]) -> None:
+def verify_dispatch_preserves_epochs(dispatch_log: Sequence[DispatchRecord]) -> None:
     """Check ``I = D`` at epoch granularity.
 
     In the barrier-enabled block layer requests may be reordered only within
     an epoch; the epoch numbers observed along the dispatch order must
-    therefore be non-decreasing.
+    therefore be non-decreasing.  ``dispatch_log`` is the block layer's
+    :class:`DispatchLog` (its epoch column is read directly) or any sequence
+    of rows with ``issue_epoch`` and ``describe()``.
     """
+    if isinstance(dispatch_log, DispatchLog):
+        epochs = dispatch_log.issue_epochs()
+    else:
+        epochs = (record.issue_epoch for record in dispatch_log)
     last_epoch = -1
-    for request in dispatch_log:
-        epoch = request.issue_epoch
+    for index, epoch in enumerate(epochs):
         if epoch is None:
             continue
         if epoch < last_epoch:
             raise VerificationError(
-                f"dispatch order violates epochs: {request.describe()} of epoch "
-                f"{epoch} dispatched after epoch {last_epoch}"
+                f"dispatch order violates epochs: {dispatch_log[index].describe()} "
+                f"of epoch {epoch} dispatched after epoch {last_epoch}"
             )
         last_epoch = max(last_epoch, epoch)
 
@@ -237,8 +242,9 @@ class CrashProbe:
     workload: object = None
     #: Journal transactions at crash time (see :func:`journal_transactions`).
     transactions: Sequence[JournalTransaction] = ()
-    #: Block-layer dispatch log at crash time.
-    dispatch_log: Sequence[BlockRequest] = ()
+    #: Block-layer dispatch log at crash time (a :meth:`DispatchLog.prefix`
+    #: view, so later dispatches do not show).
+    dispatch_log: Sequence[DispatchRecord] = ()
     #: Fault injections that fired before the crash
     #: (:class:`repro.faults.FaultEvent` records; empty when no injector ran).
     fault_events: Sequence[object] = ()
@@ -254,13 +260,14 @@ class CrashProbe:
     ) -> "CrashProbe":
         """Assemble a probe from a crashed stack."""
         injector = getattr(getattr(stack, "device", None), "fault_injector", None)
+        dispatch_log = getattr(getattr(stack, "block", None), "dispatch_log", None)
         return cls(
             state=state,
             stack=stack,
             spec=spec,
             workload=workload,
             transactions=journal_transactions(getattr(stack, "fs", None)),
-            dispatch_log=list(getattr(getattr(stack, "block", None), "dispatch_log", ())),
+            dispatch_log=dispatch_log.prefix() if dispatch_log is not None else (),
             fault_events=tuple(injector.events) if injector is not None else (),
         )
 

@@ -147,9 +147,13 @@ class DualModeJournal:
             self.commits_dispatched += 1
             self.fs.stats.journal_commits += 1
             self._flush_queue.put((txn, jd_request, jc_request))
+            # The idle thread must not keep a finished commit's requests.
+            del jd_request, jc_request
 
     def _flush_thread(self):
         while True:
+            # Hold no finished commit's requests while waiting for the next.
+            txn = jd_request = jc_request = None
             txn, jd_request, jc_request = yield self._flush_queue.get()
             # The flush thread is triggered when JC has been transferred.
             yield jc_request.transferred

@@ -54,6 +54,11 @@ SEC: float = 1_000_000.0
 _KIND_EVENT = 0  # item is an Event: trigger it with ``value``
 _KIND_RESUME = 1  # item is a Process: resume its generator with (value, exc)
 
+#: Callback list of a triggered event, shared by all of them: nothing appends
+#: to it (``add_callback`` runs a late callback at once), so firing an event
+#: needs no fresh empty list.
+_FIRED: tuple = ()
+
 #: How many consecutive already-triggered yields a process consumes in one
 #: resumption before falling back to the heap.  The bound keeps a pathological
 #: ``while True: yield triggered_event`` loop from starving the event queue;
@@ -121,7 +126,7 @@ class Event:
         self._value = value
         callbacks = self.callbacks
         if callbacks:
-            self.callbacks = []
+            self.callbacks = _FIRED
             for callback in callbacks:
                 callback(self)
         return self
@@ -136,7 +141,7 @@ class Event:
         self._exception = exception
         callbacks = self.callbacks
         if callbacks:
-            self.callbacks = []
+            self.callbacks = _FIRED
             for callback in callbacks:
                 callback(self)
         return self
@@ -500,6 +505,10 @@ class Simulator:
 
     def _unregister_process(self, process: Process) -> None:
         self._live_processes.discard(process)
+        # The cached wake-up method refers back to the process; dropping it
+        # on exit frees a finished process (and its generator) by reference
+        # counting instead of leaving the cycle to the cyclic collector.
+        process._wakeup_cb = None  # noqa: SLF001
 
     # -- running ------------------------------------------------------------
     # The entry-execution body below is intentionally duplicated in step(),
@@ -521,7 +530,7 @@ class Simulator:
                 item._value = value  # noqa: SLF001
                 callbacks = item.callbacks
                 if callbacks:
-                    item.callbacks = []
+                    item.callbacks = _FIRED
                     for callback in callbacks:
                         callback(item)
         else:

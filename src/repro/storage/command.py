@@ -100,7 +100,8 @@ class Command:
     tag: object = None
     command_id: int = field(default_factory=lambda: next(_command_ids))
 
-    # Milestone events, created by attach().
+    # Milestone events, created by attach().  They fire with no value, so
+    # a command is no reference cycle (see ``BlockRequest``).
     transferred: Optional[Event] = None
     completed: Optional[Event] = None
 

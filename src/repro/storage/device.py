@@ -248,9 +248,9 @@ class StorageDevice:
         yield self.sim.timeout(self.profile.completion_overhead)
         command.error = error
         command.transfer_time = self.sim.now
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         command.complete_time = self.sim.now
-        command.completed.succeed(command)
+        command.completed.succeed()
 
     def _service_read_fast(self, command: Command):
         """Service a read with no fault injector installed (the hot path)."""
@@ -258,11 +258,11 @@ class StorageDevice:
         yield self.flash.read(command.num_pages)
         yield sim.timeout(command.num_pages * self.profile.transfer_time_per_page)
         command.transfer_time = sim.now
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         yield sim.timeout(self.profile.completion_overhead)
         command.complete_time = sim.now
         self.stats.reads_serviced += 1
-        command.completed.succeed(command)
+        command.completed.succeed()
 
     def _service_read_checked(self, command: Command):
         """Read service with the fault-injection hook sites active."""
@@ -296,7 +296,7 @@ class StorageDevice:
             self.current_epoch = epoch + 1
             self.stats.barrier_writes += 1
         self.stats.pages_transferred += command.num_pages
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         self._cache_work.notify_all()
         if self.crash_tap is not None:
             self.crash_tap("transfer", command.num_pages)
@@ -308,7 +308,7 @@ class StorageDevice:
         yield sim.timeout(profile.completion_overhead)
         command.complete_time = sim.now
         self.stats.writes_serviced += 1
-        command.completed.succeed(command)
+        command.completed.succeed()
 
     def _service_write_checked(self, command: Command):
         """Write service with the fault-injection hook sites active."""
@@ -339,7 +339,7 @@ class StorageDevice:
             self.current_epoch += 1
             self.stats.barrier_writes += 1
         self.stats.pages_transferred += command.num_pages
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         self._cache_work.notify_all()
         if self.crash_tap is not None:
             self.crash_tap("transfer", command.num_pages)
@@ -351,7 +351,7 @@ class StorageDevice:
         yield self.sim.timeout(profile.completion_overhead)
         command.complete_time = self.sim.now
         self.stats.writes_serviced += 1
-        command.completed.succeed(command)
+        command.completed.succeed()
 
     def _persist_fua(self, entries: list[CacheEntry]):
         """Program a FUA payload synchronously (bypassing the flusher)."""
@@ -362,7 +362,7 @@ class StorageDevice:
         for entry in pending:
             self._in_flight.add(entry.transfer_seq)
         if self.ftl is not None:
-            pages = self.ftl.append_batch(pending, self.sim.now)
+            pages = self.ftl.append_batch(pending)
         else:
             pages = None
         yield self.flash.program(len(pending), overhead_factor=overhead)
@@ -383,10 +383,10 @@ class StorageDevice:
             yield from self._drain_dirty_upto(self.cache.last_dirty_seq)
         yield self.sim.timeout(self.profile.flush_overhead)
         command.transfer_time = self.sim.now
-        command.transferred.succeed(command)
+        command.transferred.succeed()
         command.complete_time = self.sim.now
         self.stats.flushes_serviced += 1
-        command.completed.succeed(command)
+        command.completed.succeed()
         if self.crash_tap is not None:
             self.crash_tap("flush", 0)
 
@@ -456,7 +456,7 @@ class StorageDevice:
             overhead = self.barrier_mode.program_overhead(self.profile)
             pages = None
             if self.ftl is not None:
-                pages = self.ftl.append_batch(batch, self.sim.now)
+                pages = self.ftl.append_batch(batch)
             flush_group = None
             if self.barrier_mode.is_atomic_flush:
                 self._flush_group_counter += 1

@@ -1,6 +1,6 @@
 """The per-IO records are slotted and survive a pickle round-trip.
 
-Every stack keeps each block request in ``issue_log``/``dispatch_log`` and
+Every IO builds a block request and a device command, and every stack keeps
 each cached page in the cache history, so these records carry no instance
 dict.  Results shipped between processes (``run_specs(jobs=N)``,
 ``explore_cells(jobs=N)``) must still pickle them field for field.
