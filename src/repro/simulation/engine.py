@@ -54,9 +54,11 @@ SEC: float = 1_000_000.0
 _KIND_EVENT = 0  # item is an Event: trigger it with ``value``
 _KIND_RESUME = 1  # item is a Process: resume its generator with (value, exc)
 
-#: Callback list of a triggered event, shared by all of them: nothing appends
-#: to it (``add_callback`` runs a late callback at once), so firing an event
-#: needs no fresh empty list.
+#: Callback list of an event triggered by ``succeed``/``fail``, shared by all
+#: of them: nothing appends to it (``add_callback`` runs a late callback at
+#: once), so firing an event needs no fresh empty list.  The simulator's own
+#: loops fire heap events by iterating their lists in place, which allocates
+#: nothing and spends no store on the hottest path.
 _FIRED: tuple = ()
 
 #: How many consecutive already-triggered yields a process consumes in one
@@ -528,11 +530,8 @@ class Simulator:
             if not item._triggered:  # noqa: SLF001 - e.g. timeout raced interrupt
                 item._triggered = True  # noqa: SLF001
                 item._value = value  # noqa: SLF001
-                callbacks = item.callbacks
-                if callbacks:
-                    item.callbacks = _FIRED
-                    for callback in callbacks:
-                        callback(item)
+                for callback in item.callbacks:
+                    callback(item)
         else:
             item._resume(value, exc)  # noqa: SLF001
         return True

@@ -2,8 +2,10 @@
 
 A finished :class:`Process` must be freed by reference counting alone: its
 cached wake-up method refers back to it, so the engine drops that method on
-every exit path.  A fired event shares one empty callback tuple instead of
-a fresh list; callbacks added after the trigger must still run at once.
+every exit path.  An event fired by ``succeed``/``fail`` shares one empty
+callback tuple instead of a fresh list, and the simulator's loops fire heap
+events in place; either way callbacks added after the trigger must still run
+at once.
 """
 
 import gc
@@ -67,26 +69,40 @@ def test_every_exit_path_drops_the_cached_wakeup(body):
     assert process._wakeup_cb is None  # noqa: SLF001
 
 
-def _fire(sim, how):
-    event = sim.event("e")
+#: The simulator's loops that fire heap events (``run`` and
+#: ``run_until_complete`` each have a bounded and an unbounded loop).
+_LOOPS = ["step", "run", "run-until", "run-until-complete", "run-until-complete-limit"]
+
+#: Every way an event fires: directly, or from the heap through a loop.
+_TRIGGERS = ["succeed", "fail"] + _LOOPS
+
+
+def _trigger(sim, event, how):
     if how == "succeed":
         event.succeed(3)
-    elif how == "fail":
+        return
+    if how == "fail":
         event.fail(RuntimeError("x"))
+        return
+    sim._schedule(1.0, event, 3)  # noqa: SLF001 - heap-triggered event
+    if how == "step":
+        while sim.step():
+            pass
+    elif how == "run":
+        sim.run()
+    elif how == "run-until":
+        sim.run(until=sim.now + 10.0)
+    elif how == "run-until-complete":
+        sim.run_until_complete(event)
     else:
-        sim._schedule(1.0, event, 3)  # noqa: SLF001 - heap-triggered event
-        if how == "step":
-            while sim.step():
-                pass
-        else:
-            sim.run()
-    return event
+        sim.run_until_complete(event, limit=sim.now + 10.0)
 
 
-@pytest.mark.parametrize("how", ["succeed", "fail", "step", "run"])
+@pytest.mark.parametrize("how", _TRIGGERS)
 def test_callbacks_added_after_trigger_run_at_once(how):
     sim = Simulator()
-    event = _fire(sim, how)
+    event = sim.event("e")
+    _trigger(sim, event, how)
     assert event.triggered
     seen = []
     event.add_callback(seen.append)
@@ -94,21 +110,14 @@ def test_callbacks_added_after_trigger_run_at_once(how):
     assert seen == [event, "second"]
 
 
-@pytest.mark.parametrize("how", ["succeed", "fail", "step"])
+@pytest.mark.parametrize("how", ["succeed", "fail"])
 def test_fired_events_share_one_empty_callback_tuple(how):
     sim = Simulator()
     events = [sim.event("a"), sim.event("b")]
     calls = []
     for event in events:
         event.add_callback(calls.append)
-        if how == "succeed":
-            event.succeed(1)
-        elif how == "fail":
-            event.fail(RuntimeError("x"))
-        else:
-            sim._schedule(1.0, event, 1)  # noqa: SLF001
-            while sim.step():
-                pass
+        _trigger(sim, event, how)
     assert calls == events
     assert events[0].callbacks == ()
     assert events[0].callbacks is events[1].callbacks
@@ -123,3 +132,18 @@ def test_double_trigger_still_rejected():
         event.succeed()
     with pytest.raises(SimulationError):
         event.fail(Interrupt())
+
+
+@pytest.mark.parametrize("how", _LOOPS)
+def test_loops_fire_callbacks_in_place(how):
+    # The entry-execution body is duplicated in step(), run() and
+    # run_until_complete(); every copy iterates the list it finds and
+    # allocates no replacement.
+    sim = Simulator()
+    event = sim.event("e")
+    calls = []
+    event.add_callback(calls.append)
+    callbacks = event.callbacks
+    _trigger(sim, event, how)
+    assert calls == [event]
+    assert event.callbacks is callbacks
